@@ -2,7 +2,9 @@
 // the same operation with the engine attached vs forced onto the heap
 // BigUInt path (ScopedHeapOnlyModPow / EngineMode::kHeapOnly) in the same
 // run, so tools/check_bench_bigint.py can gate on machine-independent
-// same-run ratios. BENCH_bigint.json is the committed baseline.
+// same-run ratios. BM_RsaDecryptBatch / BM_RsaDecryptLoop pair the batched
+// RSA-CRT path with per-ciphertext calls the same way. BENCH_bigint.json is
+// the committed baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -13,7 +15,9 @@
 #include "bigint/modular.h"
 #include "bigint/montgomery.h"
 #include "common/logging.h"
+#include "common/thread_pool.h"
 #include "crypto/paillier.h"
+#include "crypto/rsa.h"
 #include "mpc/link_influence_protocol.h"
 #include "mpc/propagation_protocol.h"
 
@@ -113,6 +117,51 @@ void BM_PaillierEncryptHeap(benchmark::State& state) {
   RunPaillierEncrypt(state, /*heap_only=*/true);
 }
 BENCHMARK(BM_PaillierEncryptHeap)->Arg(512)->Arg(1024);
+
+// --------------------------------------------------------------- RSA-CRT --
+
+// Arg is the RSA modulus size z; the CRT halves are z/2 bits, the 4- and
+// 8-limb widths the IFMA batch kernel serves. Each iteration decrypts the
+// same 64 ciphertexts, either with one RsaDecryptBatch call or with 64
+// RsaDecrypt calls, so the pair's time ratio is the per-ciphertext gain.
+// The pool is pinned to one thread: the ratio measures the kernel, not
+// the fan-out (and cpu_time sees only the calling thread).
+constexpr size_t kRsaBenchCiphertexts = 64;
+
+void RunRsaDecrypt(benchmark::State& state, bool batch) {
+  Rng rng(12);
+  auto kp = RsaGenerateKeyPair(&rng, static_cast<size_t>(state.range(0)))
+                .ValueOrDie();
+  std::vector<BigUInt> cts;
+  for (size_t i = 0; i < kRsaBenchCiphertexts; ++i) {
+    cts.push_back(BigUInt::RandomBelow(&rng, kp.public_key.n));
+  }
+  const size_t threads = ThreadPool::Global().num_threads();
+  ThreadPool::Global().SetNumThreads(1);
+  for (auto _ : state) {
+    if (batch) {
+      benchmark::DoNotOptimize(
+          RsaDecryptBatch(kp.private_key, cts).ValueOrDie());
+    } else {
+      for (const BigUInt& c : cts) {
+        benchmark::DoNotOptimize(RsaDecrypt(kp.private_key, c).ValueOrDie());
+      }
+    }
+  }
+  ThreadPool::Global().SetNumThreads(threads);
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kRsaBenchCiphertexts));
+}
+
+void BM_RsaDecryptBatch(benchmark::State& state) {
+  RunRsaDecrypt(state, /*batch=*/true);
+}
+BENCHMARK(BM_RsaDecryptBatch)->Arg(512)->Arg(1024);
+
+void BM_RsaDecryptLoop(benchmark::State& state) {
+  RunRsaDecrypt(state, /*batch=*/false);
+}
+BENCHMARK(BM_RsaDecryptLoop)->Arg(512)->Arg(1024);
 
 // ------------------------------------------------------------ end-to-end --
 

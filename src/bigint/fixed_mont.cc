@@ -1,5 +1,6 @@
 #include "bigint/fixed_mont.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "bigint/limb_kernel.h"
@@ -8,7 +9,64 @@
 
 namespace psi {
 
+std::vector<BigUInt> FixedMontEngineBase::PowBatch(
+    std::span<const BigUInt> bases, PSI_SECRET const BigUInt& exp) const {
+  std::vector<BigUInt> out;
+  out.reserve(bases.size());
+  for (const BigUInt& b : bases) out.push_back(Pow(b, exp));
+  return out;
+}
+
 namespace {
+
+#if PSI_LIMB_KERNEL_X86
+// Fewest live lanes for which an IFMA call beats per-base scalar Pow: the
+// kernel costs the same for 1 lane as for 8, about 1.7 scalar Pows at the
+// RSA public exponent (docs/PERF.md "Batched exponentiation").
+constexpr size_t kIfmaMinLanes = 2;
+
+constexpr uint64_t kDigitMask = (uint64_t{1} << 52) - 1;
+
+// Spreads an L-limb value into D 52-bit digits, `stride` words apart.
+template <size_t L, size_t D>
+void ToDigits(const uint64_t* limbs, uint64_t* digits, size_t stride) {
+  limb_kernel::u128 acc = 0;
+  size_t bits = 0;
+  size_t next = 0;
+  for (size_t j = 0; j < D; ++j) {
+    if (bits < 52 && next < L) {
+      acc |= static_cast<limb_kernel::u128>(limbs[next++]) << bits;
+      bits += 64;
+    }
+    digits[j * stride] = static_cast<uint64_t>(acc) & kDigitMask;
+    acc >>= 52;
+    bits = bits > 52 ? bits - 52 : 0;
+  }
+}
+
+// Gathers D 52-bit digits at stride kIfmaLanes back into L limbs. The value
+// must fit L limbs.
+template <size_t L, size_t D>
+void FromDigits(const uint64_t* digits, uint64_t* limbs) {
+  limb_kernel::u128 acc = 0;
+  size_t bits = 0;
+  size_t next = 0;
+  for (size_t j = 0; j < D && next < L; ++j) {
+    acc |= static_cast<limb_kernel::u128>(
+               digits[j * limb_kernel::kIfmaLanes]) << bits;
+    bits += 52;
+    if (bits >= 64) {
+      limbs[next++] = static_cast<uint64_t>(acc);
+      acc >>= 64;
+      bits -= 64;
+    }
+  }
+  for (; next < L; ++next) {
+    limbs[next] = static_cast<uint64_t>(acc);
+    acc >>= 64;
+  }
+}
+#endif  // PSI_LIMB_KERNEL_X86
 
 template <size_t L>
 class FixedMontEngine final : public FixedMontEngineBase {
@@ -22,6 +80,19 @@ class FixedMontEngine final : public FixedMontEngineBase {
       r2_[i] = r2_mod_n.limb(i);
       one_[i] = i == 0 ? 1 : 0;
     }
+#if PSI_LIMB_KERNEL_X86
+    if constexpr (kIfmaWidth) {
+      ifma_ = limb_kernel::ActiveVariant() == limb_kernel::Variant::kX86AdxIfma;
+      if (ifma_) {
+        // The batch kernel's own Montgomery radix R = 2^(52*D).
+        uint64_t rr[L];
+        Load(BigUInt::PowerOfTwo(2 * 52 * kDigits) % modulus, rr);
+        ToDigits<L, kDigits>(n_, ifma_n_, 1);
+        ToDigits<L, kDigits>(rr, ifma_rr_, 1);
+        ifma_k0_ = n_prime & kDigitMask;
+      }
+    }
+#endif
   }
 
   size_t limbs() const override { return L; }
@@ -112,12 +183,84 @@ class FixedMontEngine final : public FixedMontEngineBase {
     return BigUInt::FromLimbs(result, L);
   }
 
+  std::vector<BigUInt> PowBatch(std::span<const BigUInt> bases,
+                                PSI_SECRET const BigUInt& exp) const override {
+#if PSI_LIMB_KERNEL_X86
+    if constexpr (kIfmaWidth) {
+      // psi-lint: allow(secret-flow) a zero exponent has no window to walk; no key exponent is zero, so the branch reveals nothing
+      if (ifma_ && !exp.IsZero()) return PowBatchIfma(bases, exp);
+    }
+#endif
+    return FixedMontEngineBase::PowBatch(bases, exp);
+  }
+
  private:
   /// Loads a value < n into an L-limb buffer (high limbs zero-filled).
   static void Load(const BigUInt& v, uint64_t* out) {
     PSI_DCHECK(v.num_limbs() <= L);
     for (size_t i = 0; i < L; ++i) out[i] = v.limb(i);
   }
+
+#if PSI_LIMB_KERNEL_X86
+  // Widths the IFMA kernel is instantiated for (256- and 512-bit moduli).
+  static constexpr bool kIfmaWidth = L == 4 || L == 8;
+  static constexpr size_t kDigits = limb_kernel::IfmaDigits(L);
+
+  std::vector<BigUInt> PowBatchIfma(std::span<const BigUInt> bases,
+                                    PSI_SECRET const BigUInt& exp) const {
+    // The exponent's fixed-window digits, most significant first: the same
+    // windows Pow walks, shared by every lane.
+    const size_t bits = exp.BitLength();
+    const size_t w = internal::WindowBitsFor(bits);
+    // psi-lint: allow(secret-flow) digit count depends on the public key size, not the exponent value
+    const size_t num_digits = (bits + w - 1) / w;
+    PSI_SECRET std::vector<uint8_t> digits(num_digits);
+    for (size_t d = 0; d < num_digits; ++d) {
+      digits[d] = static_cast<uint8_t>(
+          internal::ExpDigit(exp, (num_digits - 1 - d) * w, w));
+    }
+    constexpr size_t kLanes = limb_kernel::kIfmaLanes;
+    std::vector<BigUInt> out;
+    out.reserve(bases.size());
+    size_t next = 0;
+    while (bases.size() - next >= kIfmaMinLanes) {
+      const size_t lanes = std::min(kLanes, bases.size() - next);
+      // Idle lanes carry base 0; their results are dropped.
+      uint64_t in[kDigits * kLanes] = {};
+      uint64_t res[kDigits * kLanes];
+      for (size_t l = 0; l < lanes; ++l) {
+        const BigUInt& b = bases[next + l];
+        uint64_t limbs[L];
+        if (b < n_big_) {
+          Load(b, limbs);
+        } else {
+          Load(b % n_big_, limbs);
+        }
+        ToDigits<L, kDigits>(limbs, in + l, kLanes);
+      }
+      limb_kernel::PowBatchIfma<kDigits>(in, ifma_n_, ifma_k0_, ifma_rr_,
+                                         digits.data(), num_digits, w, res);
+      for (size_t l = 0; l < lanes; ++l) {
+        uint64_t limbs[L];
+        FromDigits<L, kDigits>(res + l, limbs);
+        // The kernel may leave n itself for a result that is 0 mod n.
+        if (limb_kernel::CompareFixed<L>(limbs, n_) >= 0) {
+          limb_kernel::SubFixed<L>(limbs, n_, limbs);
+        }
+        out.push_back(BigUInt::FromLimbs(limbs, L));
+      }
+      next += lanes;
+    }
+    // Too few bases left to fill a kernel call: per-base scalar Pow.
+    for (; next < bases.size(); ++next) out.push_back(Pow(bases[next], exp));
+    return out;
+  }
+
+  bool ifma_ = false;               // Batch kernel usable for this engine.
+  uint64_t ifma_n_[kDigits] = {};   // n in 52-bit digits.
+  uint64_t ifma_rr_[kDigits] = {};  // R^2 mod n for the kernel's R.
+  uint64_t ifma_k0_ = 0;            // -n^-1 mod 2^52.
+#endif  // PSI_LIMB_KERNEL_X86
 
   BigUInt n_big_;           // For the boundary reductions (base % n).
   uint64_t n_[L];           // The modulus.

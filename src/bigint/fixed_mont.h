@@ -24,6 +24,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "bigint/biguint.h"
 #include "common/annotations.h"
@@ -81,6 +83,13 @@ class FixedMontEngineBase {
   /// the decrypt path, hence the taint annotation.
   virtual BigUInt Pow(const BigUInt& base, PSI_SECRET const BigUInt& exp)
       const = 0;
+
+  /// out[i] = bases[i]^exp mod n for every i: one shared exponent, bit-for-
+  /// bit the results of per-base Pow calls. This default is that loop; the
+  /// 4- and 8-limb engines walk up to limb_kernel::kIfmaLanes bases at once
+  /// when the IFMA kernel is active.
+  virtual std::vector<BigUInt> PowBatch(std::span<const BigUInt> bases,
+                                        PSI_SECRET const BigUInt& exp) const;
 };
 
 /// \brief Builds the engine for `modulus` when its exact limb width is one

@@ -11,6 +11,12 @@ Variant DetectVariant() {
   // adcx/adox dual carry chains the fused kernels schedule onto. Both
   // shipped together from Broadwell on, but check each anyway.
   if (__builtin_cpu_supports("bmi2") && __builtin_cpu_supports("adx")) {
+    // AVX512F brings the zmm registers, IFMA the 52-bit multiply-adds the
+    // batch exponentiation is built from.
+    if (__builtin_cpu_supports("avx512f") &&
+        __builtin_cpu_supports("avx512ifma")) {
+      return Variant::kX86AdxIfma;
+    }
     return Variant::kX86Adx;
   }
 #endif
@@ -25,16 +31,16 @@ Variant ActiveVariant() {
   return kActive;
 }
 
-bool X86KernelsAvailable() {
-#if PSI_LIMB_KERNEL_X86
-  return DetectVariant() == Variant::kX86Adx;
-#else
-  return false;
-#endif
+bool X86KernelsAvailable() { return DetectVariant() != Variant::kPortable; }
+
+bool IfmaKernelsAvailable() {
+  return DetectVariant() == Variant::kX86AdxIfma;
 }
 
 const char* VariantName(Variant v) {
   switch (v) {
+    case Variant::kX86AdxIfma:
+      return "x86-adx+ifma";
     case Variant::kX86Adx:
       return "x86-adx";
     case Variant::kPortable:

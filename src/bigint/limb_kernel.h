@@ -9,6 +9,11 @@
 //     `__attribute__((target("bmi2,adx")))` and selected by a one-time
 //     runtime CPUID check.
 //
+// On CPUs that also have AVX-512 IFMA the same check enables one more
+// kernel, PowBatchIfma (limb_kernel_ifma.cc): eight exponentiations that
+// share a modulus and an exponent, walked together in the eight 64-bit
+// lanes of a zmm register (docs/PERF.md "Batched exponentiation").
+//
 // Both variants compute the same exact integers, so kernel selection can
 // never change a protocol transcript — only wall-clock. The CMake option
 // PSI_PORTABLE_KERNELS=ON (macro PSI_FORCE_PORTABLE_KERNELS) compiles the
@@ -40,21 +45,31 @@ __extension__ typedef unsigned __int128 u128;
 
 /// \brief Which kernel implementation the process-wide dispatch selected.
 enum class Variant {
-  kPortable,  ///< unsigned __int128 arithmetic, any platform.
-  kX86Adx,    ///< mulx/adcx/adox carry chains (x86-64 with BMI2+ADX).
+  kPortable,    ///< unsigned __int128 arithmetic, any platform.
+  kX86Adx,      ///< mulx/adcx/adox carry chains (x86-64 with BMI2+ADX).
+  kX86AdxIfma,  ///< kX86Adx plus the AVX-512 IFMA batch exponentiation.
 };
 
 /// \brief The variant every dispatched kernel call uses, decided once per
-/// process: kX86Adx when the binary carries the x86 kernels and CPUID
-/// reports BMI2+ADX, else kPortable.
+/// process: kX86AdxIfma when the binary carries the x86 kernels and CPUID
+/// reports BMI2+ADX+AVX512F+AVX512IFMA, kX86Adx without the AVX-512 pair,
+/// else kPortable.
 Variant ActiveVariant();
 
 /// \brief True when the x86 kernels are compiled in AND this CPU can run
 /// them. Tests use this to compare both implementations limb for limb.
 bool X86KernelsAvailable();
 
-/// \brief Human-readable variant name ("portable" / "x86-adx").
+/// \brief True when PowBatchIfma is compiled in AND this CPU can run it.
+bool IfmaKernelsAvailable();
+
+/// \brief Human-readable variant name ("portable" / "x86-adx" /
+/// "x86-adx+ifma").
 const char* VariantName(Variant v);
+
+/// \brief True when the scalar x86 kernels serve this process (either x86
+/// variant).
+inline bool X86Active() { return ActiveVariant() != Variant::kPortable; }
 
 // -- portable kernels ---------------------------------------------------------
 
@@ -77,6 +92,30 @@ void MulX86(const uint64_t* a, size_t an, const uint64_t* b, size_t bn,
             uint64_t* out);
 void MontMulX86(const uint64_t* a, const uint64_t* b, const uint64_t* n,
                 uint64_t n0, uint64_t* out, size_t limbs);
+
+// -- AVX-512 IFMA batch exponentiation ----------------------------------------
+// Only call when IfmaKernelsAvailable().
+
+/// Exponentiations one PowBatchIfma call walks together, one per lane.
+inline constexpr size_t kIfmaLanes = 8;
+
+/// Radix-2^52 digits for an L-limb modulus n: the fewest D with
+/// 4n < R = 2^(52*D), the bound that lets almost-Montgomery multiplication
+/// skip its final subtraction.
+constexpr size_t IfmaDigits(size_t limbs) { return (64 * limbs + 2 + 51) / 52; }
+
+/// out[lane] = base[lane]^exp mod n for the kIfmaLanes lanes, with every
+/// D-digit operand stored digit-major: digit j of lane l at [j * 8 + l],
+/// each digit < 2^52. `n` is the odd modulus with 4n < 2^(52*D), `k0` =
+/// -n^-1 mod 2^52, `rr` = 2^(104*D) mod n, and each base < n. The shared
+/// exponent arrives as its fixed-window digits, most significant first:
+/// `num_digits` >= 1 digits of `w` bits (1 <= w <= 5), the first nonzero.
+/// Each out lane is <= n, equal to n only when the result is 0 mod n.
+/// Instantiated for D = IfmaDigits(4) and IfmaDigits(8).
+template <size_t D>
+void PowBatchIfma(const uint64_t* base, const uint64_t* n, uint64_t k0,
+                  const uint64_t* rr, const uint8_t* digits, size_t num_digits,
+                  size_t w, uint64_t* out);
 #endif  // PSI_LIMB_KERNEL_X86
 
 /// Schoolbook multiply through the active variant (BigUInt's base case).
@@ -84,7 +123,7 @@ void MontMulX86(const uint64_t* a, const uint64_t* b, const uint64_t* n,
 inline void Mul(const uint64_t* a, size_t an, const uint64_t* b, size_t bn,
                 uint64_t* out) {
 #if PSI_LIMB_KERNEL_X86
-  if (ActiveVariant() == Variant::kX86Adx) {
+  if (X86Active()) {
     MulX86(a, an, b, bn, out);
     return;
   }
@@ -373,7 +412,7 @@ template <size_t L>
 inline void MontMul(const uint64_t* a, const uint64_t* b, const uint64_t* n,
                     uint64_t n0, uint64_t* out) {
 #if PSI_LIMB_KERNEL_X86
-  if (ActiveVariant() == Variant::kX86Adx) {
+  if (X86Active()) {
     MontMulFixedX86<L>(a, b, n, n0, out);
     return;
   }

@@ -46,6 +46,16 @@ const MontgomeryContext* CachedMontgomeryContext(const BigUInt& m) {
   return &cache.front().second;
 }
 
+// Odd multi-limb moduli (the RSA/Paillier case) route through Montgomery
+// arithmetic: REDC replaces every Knuth-division reduction, and the
+// thread-local context cache amortizes the R^2 mod n setup across calls.
+const MontgomeryContext* ModPowContext(const BigUInt& exp, const BigUInt& m) {
+  if (m.IsOdd() && m.BitLength() >= 128 && exp.BitLength() >= 8) {
+    return CachedMontgomeryContext(m);
+  }
+  return nullptr;
+}
+
 }  // namespace
 
 ScopedHeapOnlyModPow::ScopedHeapOnlyModPow()
@@ -77,13 +87,8 @@ BigUInt ModMul(const BigUInt& a, const BigUInt& b, const BigUInt& m) {
 BigUInt ModPow(const BigUInt& base, const BigUInt& exp, const BigUInt& m) {
   PSI_CHECK(!m.IsZero()) << "ModPow modulus must be positive";
   if (m.IsOne()) return BigUInt();
-  // Odd multi-limb moduli (the RSA/Paillier case) route through Montgomery
-  // arithmetic: REDC replaces every Knuth-division reduction, and the
-  // thread-local context cache amortizes the R^2 mod n setup across calls.
-  if (m.IsOdd() && m.BitLength() >= 128 && exp.BitLength() >= 8) {
-    if (const MontgomeryContext* ctx = CachedMontgomeryContext(m)) {
-      return ctx->Pow(base, exp);
-    }
+  if (const MontgomeryContext* ctx = ModPowContext(exp, m)) {
+    return ctx->Pow(base, exp);
   }
   BigUInt result(1);
   BigUInt b = base % m;
@@ -93,6 +98,20 @@ BigUInt ModPow(const BigUInt& base, const BigUInt& exp, const BigUInt& m) {
     if (exp.GetBit(i)) result = ModMul(result, b, m);
   }
   return result;
+}
+
+std::vector<BigUInt> ModPowBatch(std::span<const BigUInt> bases,
+                                 const BigUInt& exp, const BigUInt& m) {
+  PSI_CHECK(!m.IsZero()) << "ModPow modulus must be positive";
+  if (!m.IsOne()) {
+    if (const MontgomeryContext* ctx = ModPowContext(exp, m)) {
+      return ctx->PowBatch(bases, exp);
+    }
+  }
+  std::vector<BigUInt> out;
+  out.reserve(bases.size());
+  for (const BigUInt& b : bases) out.push_back(ModPow(b, exp, m));
+  return out;
 }
 
 BigUInt Gcd(BigUInt a, BigUInt b) {

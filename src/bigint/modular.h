@@ -4,6 +4,9 @@
 #ifndef PSI_BIGINT_MODULAR_H_
 #define PSI_BIGINT_MODULAR_H_
 
+#include <span>
+#include <vector>
+
 #include "bigint/biguint.h"
 #include "common/status.h"
 
@@ -20,6 +23,12 @@ BigUInt ModMul(const BigUInt& a, const BigUInt& b, const BigUInt& m);
 
 /// \brief a^e mod m by left-to-right square-and-multiply. m > 0; 0^0 == 1.
 BigUInt ModPow(const BigUInt& base, const BigUInt& exp, const BigUInt& m);
+
+/// \brief ModPow of every base to one shared exponent: out[i] ==
+/// ModPow(bases[i], exp, m). Where ModPow would use a Montgomery context,
+/// the whole batch goes through MontgomeryContext::PowBatch.
+std::vector<BigUInt> ModPowBatch(std::span<const BigUInt> bases,
+                                 const BigUInt& exp, const BigUInt& m);
 
 /// \brief RAII guard: while an instance lives, Montgomery contexts built
 /// anywhere in the process with EngineMode::kAuto (ModPow's cache, Paillier

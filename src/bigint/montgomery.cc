@@ -138,6 +138,15 @@ BigUInt MontgomeryContext::Pow(const BigUInt& base, const BigUInt& exp) const {
   return FromMontgomery(result);
 }
 
+std::vector<BigUInt> MontgomeryContext::PowBatch(
+    std::span<const BigUInt> bases, const BigUInt& exp) const {
+  if (engine_) return engine_->PowBatch(bases, exp);
+  std::vector<BigUInt> out;
+  out.reserve(bases.size());
+  for (const BigUInt& b : bases) out.push_back(Pow(b, exp));
+  return out;
+}
+
 FixedBaseTable::FixedBaseTable(const MontgomeryContext* ctx,
                                const BigUInt& base, size_t max_exp_bits,
                                size_t window_bits)

@@ -17,6 +17,7 @@
 #define PSI_BIGINT_MONTGOMERY_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "bigint/biguint.h"
@@ -67,6 +68,13 @@ class MontgomeryContext {
   /// exponent size; plain square-and-multiply for short exponents).
   /// `base` is an ordinary residue (reduced internally).
   BigUInt Pow(const BigUInt& base, const BigUInt& exp) const;
+
+  /// \brief out[i] = bases[i]^exp mod n for one shared exponent, equal bit
+  /// for bit to per-base Pow calls. The 256- and 512-bit engines walk up to
+  /// eight bases per AVX-512 IFMA kernel call where the CPU has it; every
+  /// other context, the heap path included, loops over Pow.
+  std::vector<BigUInt> PowBatch(std::span<const BigUInt> bases,
+                                const BigUInt& exp) const;
 
   /// \brief Montgomery form of 1 (R mod n).
   const BigUInt& OneMontgomery() const { return r_mod_n_; }

@@ -40,13 +40,11 @@ ThreadPool& ThreadPool::Global() {
 void ThreadPool::StartWorkers(size_t num_threads) {
   num_threads_ = num_threads;
   shutdown_ = false;
-  pending_ = 0;
   // New workers must treat the CURRENT epoch as already seen: after a
   // SetNumThreads resize the counter carries over from the previous pool
-  // generation, and a worker starting at epoch 0 would re-run the stale
-  // job_ (whose fn points into a dead caller frame). Captured here, on the
-  // starting thread, so a job published right after StartWorkers returns
-  // can never be missed.
+  // generation, and a worker starting at epoch 0 would wake for a job that
+  // no longer exists. Captured here, on the starting thread, so a job
+  // published right after StartWorkers returns can never be missed.
   uint64_t epoch = job_epoch_;
   workers_.reserve(num_threads_ - 1);
   for (size_t w = 1; w < num_threads_; ++w) {
@@ -69,23 +67,23 @@ void ThreadPool::SetNumThreads(size_t num_threads) {
   StartWorkers(std::max<size_t>(num_threads, 1));
 }
 
-void ThreadPool::RunSlice(const Job& job, size_t w) {
+void ThreadPool::RunSlice(Job* job, size_t w) {
   // Static chunking: worker w always owns the w-th contiguous slice.
-  size_t begin = w * job.n / job.num_workers;
-  size_t end = (w + 1) * job.n / job.num_workers;
+  size_t begin = w * job->n / job->num_workers;
+  size_t end = (w + 1) * job->n / job->num_workers;
   t_inside_pool_job = true;
   try {
-    for (size_t i = begin; i < end; ++i) (*job.fn)(i);
+    for (size_t i = begin; i < end; ++i) (*job->fn)(i);
   } catch (...) {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!first_error_) first_error_ = std::current_exception();
+    if (!job->first_error) job->first_error = std::current_exception();
   }
   t_inside_pool_job = false;
 }
 
 void ThreadPool::WorkerLoop(size_t worker_index, uint64_t seen_epoch) {
   for (;;) {
-    Job job;
+    Job* job = nullptr;
     {
       std::unique_lock<std::mutex> lock(mu_);
       job_ready_.wait(lock, [&] {
@@ -95,10 +93,12 @@ void ThreadPool::WorkerLoop(size_t worker_index, uint64_t seen_epoch) {
       seen_epoch = job_epoch_;
       job = job_;
     }
+    // The caller keeps `job` alive until every worker has counted itself
+    // out of `pending` below.
     RunSlice(job, worker_index);
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (--pending_ == 0) job_done_.notify_all();
+      if (--job->pending == 0) job_done_.notify_all();
     }
   }
 }
@@ -109,23 +109,27 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
+  Job job;
+  job.fn = &fn;
+  job.n = n;
+  job.num_workers = num_threads_;
+  job.pending = num_threads_ - 1;
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    job_.fn = &fn;
-    job_.n = n;
-    job_.num_workers = num_threads_;
-    pending_ = num_threads_ - 1;
+    std::unique_lock<std::mutex> lock(mu_);
+    // Another outside caller's job is running: wait for the pool.
+    pool_idle_.wait(lock, [&] { return job_ == nullptr; });
+    job_ = &job;
     ++job_epoch_;
   }
   job_ready_.notify_all();
-  RunSlice(job_, 0);  // The calling thread is worker 0.
-  std::exception_ptr error;
+  RunSlice(&job, 0);  // The calling thread is worker 0.
   {
     std::unique_lock<std::mutex> lock(mu_);
-    job_done_.wait(lock, [&] { return pending_ == 0; });
-    error = std::exchange(first_error_, nullptr);
+    job_done_.wait(lock, [&] { return job.pending == 0; });
+    job_ = nullptr;
   }
-  if (error) std::rethrow_exception(error);
+  pool_idle_.notify_one();
+  if (job.first_error) std::rethrow_exception(job.first_error);
 }
 
 size_t ThreadPool::NumChunks(size_t n) { return std::min(n, kMaxChunks); }

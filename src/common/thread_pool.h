@@ -17,6 +17,10 @@
 //     bit-identical under PSI_THREADS=1 vs PSI_THREADS=8.
 //   * The first exception thrown by any fn is rethrown in the calling
 //     thread after all workers finish; remaining indices still run.
+//   * Calls from several outside threads at once are safe: each call owns
+//     its job record, and a call that finds the pool busy waits for the
+//     running job to finish before it starts (no interleaving, no work
+//     stealing).
 //
 // The pool size comes from the PSI_THREADS environment variable when set
 // (clamped to [1, 64]), else std::thread::hardware_concurrency(). Nested
@@ -28,6 +32,7 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <exception>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -80,10 +85,13 @@ class ThreadPool {
   static constexpr size_t kMaxChunks = 64;
 
  private:
+  /// One ParallelFor call, owned by the calling thread's frame.
   struct Job {
     const std::function<void(size_t)>* fn = nullptr;
     size_t n = 0;
     size_t num_workers = 0;  // Slices this job was split into.
+    size_t pending = 0;      // Pool workers still running a slice (mu_).
+    std::exception_ptr first_error;  // First exception of any slice (mu_).
   };
 
   void StartWorkers(size_t num_threads);
@@ -92,8 +100,8 @@ class ThreadPool {
   /// epochs survive SetNumThreads resizes, so starting from 0 would replay
   /// a stale job.
   void WorkerLoop(size_t worker_index, uint64_t seen_epoch);
-  /// Runs worker `w`'s static slice of the current job.
-  void RunSlice(const Job& job, size_t w);
+  /// Runs worker `w`'s static slice of `job`.
+  void RunSlice(Job* job, size_t w);
 
   size_t num_threads_ = 1;
   std::vector<std::thread> workers_;
@@ -101,11 +109,10 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable job_ready_;
   std::condition_variable job_done_;
-  Job job_;
+  std::condition_variable pool_idle_;
+  Job* job_ = nullptr;       // The running job; null while the pool is idle.
   uint64_t job_epoch_ = 0;   // Bumped per ParallelFor; wakes the workers.
-  size_t pending_ = 0;       // Workers still running the current job.
   bool shutdown_ = false;
-  std::exception_ptr first_error_;
 };
 
 /// \brief ParallelFor on the global pool.

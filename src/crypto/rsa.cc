@@ -1,7 +1,11 @@
 #include "crypto/rsa.h"
 
+#include <algorithm>
+#include <functional>
+
 #include "bigint/modular.h"
 #include "bigint/primes.h"
+#include "common/thread_pool.h"
 #include "crypto/chacha20.h"
 #include "crypto/sha256.h"
 
@@ -40,6 +44,32 @@ Result<RsaKeyPair> RsaGenerateKeyPair(Rng* rng, size_t bits) {
   }
 }
 
+namespace {
+
+// Values per batched exponentiation: the lane count of the IFMA kernel.
+constexpr size_t kBatchLanes = 8;
+
+// Garner recombination of the CRT halves: m = m_q + q * ((m_p - m_q) *
+// q^-1 mod p).
+BigUInt CrtCombine(const RsaPrivateKey& key, const BigUInt& m_p,
+                   const BigUInt& m_q) {
+  // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
+  BigUInt h = ModMul(key.q_inv_p, ModSub(m_p, m_q % key.p, key.p), key.p);
+  return m_q + h * key.q;
+}
+
+// Runs `group(begin, end)` over [0, count) in slices of kBatchLanes across
+// the thread pool; each slice writes only its own outputs.
+void ForEachGroup(size_t count,
+                  const std::function<void(size_t begin, size_t end)>& group) {
+  const size_t groups = (count + kBatchLanes - 1) / kBatchLanes;
+  ParallelFor(groups, [&](size_t g) {
+    group(g * kBatchLanes, std::min(count, (g + 1) * kBatchLanes));
+  });
+}
+
+}  // namespace
+
 Result<BigUInt> RsaEncrypt(const RsaPublicKey& key, const BigUInt& m) {
   if (m >= key.n) return Status::InvalidArgument("RSA plaintext >= modulus");
   return ModPow(m, key.e, key.n);
@@ -52,9 +82,44 @@ Result<BigUInt> RsaDecrypt(const RsaPrivateKey& key, const BigUInt& c) {
   BigUInt m_p = ModPow(c % key.p, key.d_mod_p1, key.p);
   // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
   BigUInt m_q = ModPow(c % key.q, key.d_mod_q1, key.q);
-  // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
-  BigUInt h = ModMul(key.q_inv_p, ModSub(m_p, m_q % key.p, key.p), key.p);
-  return m_q + h * key.q;
+  return CrtCombine(key, m_p, m_q);
+}
+
+Result<std::vector<BigUInt>> RsaEncryptBatch(
+    const RsaPublicKey& key, std::span<const BigUInt> plaintexts) {
+  for (const BigUInt& m : plaintexts) {
+    if (m >= key.n) return Status::InvalidArgument("RSA plaintext >= modulus");
+  }
+  std::vector<BigUInt> out(plaintexts.size());
+  ForEachGroup(plaintexts.size(), [&](size_t begin, size_t end) {
+    std::vector<BigUInt> c =
+        ModPowBatch(plaintexts.subspan(begin, end - begin), key.e, key.n);
+    std::move(c.begin(), c.end(), out.begin() + static_cast<ptrdiff_t>(begin));
+  });
+  return out;
+}
+
+Result<std::vector<BigUInt>> RsaDecryptBatch(
+    const RsaPrivateKey& key, std::span<const BigUInt> ciphertexts) {
+  for (const BigUInt& c : ciphertexts) {
+    if (c >= key.n) return Status::InvalidArgument("RSA ciphertext >= modulus");
+  }
+  std::vector<BigUInt> out(ciphertexts.size());
+  ForEachGroup(ciphertexts.size(), [&](size_t begin, size_t end) {
+    std::vector<BigUInt> cp, cq;
+    for (size_t i = begin; i < end; ++i) {
+      // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
+      cp.push_back(ciphertexts[i] % key.p);
+      // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
+      cq.push_back(ciphertexts[i] % key.q);
+    }
+    const std::vector<BigUInt> m_p = ModPowBatch(cp, key.d_mod_p1, key.p);
+    const std::vector<BigUInt> m_q = ModPowBatch(cq, key.d_mod_q1, key.q);
+    for (size_t i = begin; i < end; ++i) {
+      out[i] = CrtCombine(key, m_p[i - begin], m_q[i - begin]);
+    }
+  });
+  return out;
 }
 
 Result<HybridCiphertext> HybridEncrypt(const RsaPublicKey& key,

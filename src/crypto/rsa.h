@@ -13,6 +13,7 @@
 #define PSI_CRYPTO_RSA_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bigint/biguint.h"
@@ -64,6 +65,21 @@ struct RsaKeyPair {
 
 /// \brief m = c^d mod n via CRT. Requires c < n.
 [[nodiscard]] Result<BigUInt> RsaDecrypt(const RsaPrivateKey& key, const BigUInt& c);
+
+/// \brief RsaEncrypt of every plaintext: index-aligned, bit-for-bit the
+/// per-element results. Groups of eight share one exponent walk (see
+/// MontgomeryContext::PowBatch), fanned out across the thread pool. A
+/// plaintext >= n fails the call with RsaEncrypt's error; the lowest such
+/// index is the one reported.
+[[nodiscard]] Result<std::vector<BigUInt>> RsaEncryptBatch(
+    const RsaPublicKey& key, std::span<const BigUInt> plaintexts);
+
+/// \brief RsaDecrypt of every ciphertext, batched like RsaEncryptBatch: two
+/// shared-exponent walks per group of eight (dP mod p, dQ mod q), then
+/// Garner per element. A ciphertext >= n fails the call with RsaDecrypt's
+/// error; the lowest such index is the one reported.
+[[nodiscard]] Result<std::vector<BigUInt>> RsaDecryptBatch(
+    const RsaPrivateKey& key, std::span<const BigUInt> ciphertexts);
 
 /// \brief Hybrid ciphertext: RSA-encapsulated ChaCha20 key + stream payload.
 struct HybridCiphertext {

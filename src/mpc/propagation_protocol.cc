@@ -8,7 +8,6 @@
 
 #include "common/annotations.h"
 #include "common/serialize.h"
-#include "common/thread_pool.h"
 #include "crypto/packing.h"
 #include "graph/generators.h"
 #include "mpc/wire.h"
@@ -137,12 +136,8 @@ constexpr uint8_t kModePacked = 2;
       for (auto& p : pads) p = BigUInt(rng->NextU64());
       PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> plain,
                            codec->Pack(counters, pads));
-      std::vector<BigUInt> cts(plain.size());
-      PSI_RETURN_NOT_OK(
-          ParallelForStatus(plain.size(), [&](size_t i) -> Status {
-            PSI_ASSIGN_OR_RETURN(cts[i], RsaEncrypt(key, plain[i]));
-            return Status::OK();
-          }));
+      PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> cts,
+                           RsaEncryptBatch(key, plain));
       for (const BigUInt& c : cts) WriteBigUInt(w, c);
       *crypto_ops += cts.size();
       return Status::OK();
@@ -160,11 +155,7 @@ constexpr uint8_t kModePacked = 2;
     for (size_t i = 0; i < delta.size(); ++i) {
       plain[i] = (BigUInt(delta[i]) << 64) + BigUInt(rng->NextU64());
     }
-    std::vector<BigUInt> cts(delta.size());
-    PSI_RETURN_NOT_OK(ParallelForStatus(delta.size(), [&](size_t i) -> Status {
-      PSI_ASSIGN_OR_RETURN(cts[i], RsaEncrypt(key, plain[i]));
-      return Status::OK();
-    }));
+    PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> cts, RsaEncryptBatch(key, plain));
     for (const BigUInt& c : cts) WriteBigUInt(w, c);
     *crypto_ops += cts.size();
   } else {
@@ -197,11 +188,8 @@ constexpr uint8_t kModePacked = 2;
     const size_t num_ct = codec->NumPlaintexts(count);
     std::vector<BigUInt> cts(num_ct);
     for (auto& c : cts) PSI_RETURN_NOT_OK(ReadBigUInt(r, &c));
-    std::vector<BigUInt> plain(num_ct);
-    PSI_RETURN_NOT_OK(ParallelForStatus(num_ct, [&](size_t i) -> Status {
-      PSI_ASSIGN_OR_RETURN(plain[i], RsaDecrypt(key, cts[i]));
-      return Status::OK();
-    }));
+    PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> plain,
+                         RsaDecryptBatch(key, cts));
     *crypto_ops += num_ct;
     PSI_ASSIGN_OR_RETURN(*delta, codec->UnpackU64(plain, count));
     return Status::OK();
@@ -210,14 +198,23 @@ constexpr uint8_t kModePacked = 2;
     uint64_t count;
     PSI_RETURN_NOT_OK(r->ReadCount(&count));
     delta->resize(count);
-    // Deserialize in wire order, then fan the pure RSA-CRT decryptions out.
+    // Deserialize in wire order, then batch-decrypt. The first failing
+    // index decides the error, whether its ciphertext is out of range or
+    // its plaintext does not fit: decrypt the in-range prefix, check its
+    // plaintexts in order, then report the out-of-range ciphertext.
     std::vector<BigUInt> cts(delta->size());
     for (auto& c : cts) PSI_RETURN_NOT_OK(ReadBigUInt(r, &c));
-    PSI_RETURN_NOT_OK(ParallelForStatus(cts.size(), [&](size_t i) -> Status {
-      PSI_ASSIGN_OR_RETURN(BigUInt m, RsaDecrypt(key, cts[i]));
-      PSI_ASSIGN_OR_RETURN((*delta)[i], (m >> 64).ToUint64());
-      return Status::OK();
-    }));
+    const auto bad = std::find_if(cts.begin(), cts.end(), [&](const BigUInt& c) {
+      return c >= key.n;
+    });
+    const size_t in_range = static_cast<size_t>(bad - cts.begin());
+    PSI_ASSIGN_OR_RETURN(
+        std::vector<BigUInt> plain,
+        RsaDecryptBatch(key, std::span<const BigUInt>(cts).first(in_range)));
+    for (size_t i = 0; i < in_range; ++i) {
+      PSI_ASSIGN_OR_RETURN((*delta)[i], (plain[i] >> 64).ToUint64());
+    }
+    if (bad != cts.end()) return RsaDecrypt(key, *bad).status();
     *crypto_ops += cts.size();
   } else if (mode == kModeHybrid) {
     HybridCiphertext ct;

@@ -5,6 +5,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace psi {
@@ -152,6 +153,59 @@ TEST_F(ThreadPoolTest, ParallelForStatusOkWhenAllSucceed) {
   });
   EXPECT_TRUE(s.ok());
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST_F(ThreadPoolTest, ConcurrentOutsideCallersEachRunTheirWholeJob) {
+  // N threads outside the pool call ParallelFor at once, repeatedly. Every
+  // call must run each of its own indices exactly once (no index lost to,
+  // or run twice by, another caller's job), and exceptions stay with the
+  // call that threw them.
+  constexpr size_t kCallers = 6;
+  constexpr size_t kRounds = 40;
+  constexpr size_t kN = 257;
+  for (size_t threads : {2u, 4u, 8u}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    std::vector<std::vector<uint64_t>> sums(kCallers,
+                                            std::vector<uint64_t>(kRounds));
+    std::vector<size_t> throws(kCallers, 0);
+    std::vector<std::thread> callers;
+    for (size_t c = 0; c < kCallers; ++c) {
+      callers.emplace_back([&, c] {
+        for (size_t r = 0; r < kRounds; ++r) {
+          std::vector<std::atomic<int>> hits(kN);
+          const bool boom = (c + r) % 7 == 0;
+          try {
+            ParallelFor(kN, [&](size_t i) {
+              hits[i].fetch_add(1);
+              if (boom && i == kN / 2) throw std::runtime_error("boom");
+            });
+          } catch (const std::runtime_error&) {
+            ++throws[c];
+          }
+          uint64_t sum = 0;
+          for (size_t i = 0; i < kN; ++i) {
+            sum += static_cast<uint64_t>(hits[i].load()) * (i + 1);
+          }
+          sums[c][r] = sum;
+        }
+      });
+    }
+    for (auto& t : callers) t.join();
+    constexpr uint64_t kWant = kN * (kN + 1) / 2;
+    for (size_t c = 0; c < kCallers; ++c) {
+      size_t want_throws = 0;
+      for (size_t r = 0; r < kRounds; ++r) {
+        // A throwing slice stops early, so only clean rounds are summed.
+        if ((c + r) % 7 == 0) {
+          ++want_throws;
+          continue;
+        }
+        EXPECT_EQ(sums[c][r], kWant)
+            << "caller " << c << " round " << r << " threads " << threads;
+      }
+      EXPECT_EQ(throws[c], want_throws) << "caller " << c;
+    }
+  }
 }
 
 TEST_F(ThreadPoolTest, SetNumThreadsClampsToAtLeastOne) {

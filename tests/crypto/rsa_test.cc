@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bigint/modular.h"
+#include "common/thread_pool.h"
 
 namespace psi {
 namespace {
@@ -122,6 +123,94 @@ TEST_F(RsaTest, HybridDecryptRejectsBadNonce) {
   ct.nonce.pop_back();
   EXPECT_FALSE(HybridDecrypt(key_pair_->private_key, ct).ok());
 }
+
+// Batched RSA against per-element calls at both widths Protocol 6 uses
+// (z = 512: IFMA-served 256-bit CRT halves; z = 1024: the scalar loop), at
+// 1 and 4 pool threads.
+class RsaBatchTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  ~RsaBatchTest() override { ThreadPool::Global().SetNumThreads(1); }
+
+  static const RsaKeyPair& Keys(size_t bits) {
+    static Rng rng(202);
+    static const RsaKeyPair k512 = RsaGenerateKeyPair(&rng, 512).ValueOrDie();
+    static const RsaKeyPair k1024 =
+        RsaGenerateKeyPair(&rng, 1024).ValueOrDie();
+    return bits == 512 ? k512 : k1024;
+  }
+
+  // 0, 1 and n-1 first, then random values below n.
+  static std::vector<BigUInt> Values(Rng* rng, const BigUInt& n,
+                                     size_t count) {
+    std::vector<BigUInt> v = {BigUInt(0), BigUInt(1), n - BigUInt(1)};
+    while (v.size() < count) v.push_back(BigUInt::RandomBelow(rng, n));
+    v.resize(count);
+    return v;
+  }
+};
+
+TEST_P(RsaBatchTest, DecryptBatchMatchesPerElement) {
+  const RsaKeyPair& kp = Keys(GetParam());
+  Rng rng(5);
+  for (size_t threads : {1u, 4u}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    for (size_t count : {0u, 1u, 7u, 8u, 9u, 41u}) {
+      const std::vector<BigUInt> cts = Values(&rng, kp.public_key.n, count);
+      auto batch = RsaDecryptBatch(kp.private_key, cts);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      ASSERT_EQ(batch->size(), count);
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_EQ((*batch)[i], RsaDecrypt(kp.private_key, cts[i]).ValueOrDie())
+            << "index " << i << " of " << count << ", threads " << threads;
+      }
+    }
+  }
+}
+
+TEST_P(RsaBatchTest, EncryptBatchMatchesPerElement) {
+  const RsaKeyPair& kp = Keys(GetParam());
+  Rng rng(6);
+  for (size_t threads : {1u, 4u}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    for (size_t count : {0u, 1u, 7u, 8u, 9u, 41u}) {
+      const std::vector<BigUInt> ms = Values(&rng, kp.public_key.n, count);
+      auto batch = RsaEncryptBatch(kp.public_key, ms);
+      ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+      ASSERT_EQ(batch->size(), count);
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_EQ((*batch)[i], RsaEncrypt(kp.public_key, ms[i]).ValueOrDie())
+            << "index " << i << " of " << count << ", threads " << threads;
+      }
+      // And the batch round-trips.
+      EXPECT_EQ(RsaDecryptBatch(kp.private_key, *batch).ValueOrDie(), ms);
+    }
+  }
+}
+
+TEST_P(RsaBatchTest, OutOfRangeMidBatchFailsLikePerElement) {
+  const RsaKeyPair& kp = Keys(GetParam());
+  const BigUInt& n = kp.public_key.n;
+  Rng rng(8);
+  std::vector<BigUInt> values = Values(&rng, n, 20);
+  values[11] = n + BigUInt(7);
+  values[13] = n;
+  const Status dec_want = RsaDecrypt(kp.private_key, values[11]).status();
+  const Status enc_want = RsaEncrypt(kp.public_key, values[11]).status();
+  ASSERT_FALSE(dec_want.ok());
+  ASSERT_FALSE(enc_want.ok());
+  for (size_t threads : {1u, 4u}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    const Status dec = RsaDecryptBatch(kp.private_key, values).status();
+    EXPECT_EQ(dec.code(), dec_want.code());
+    EXPECT_EQ(dec.message(), dec_want.message());
+    const Status enc = RsaEncryptBatch(kp.public_key, values).status();
+    EXPECT_EQ(enc.code(), enc_want.code());
+    EXPECT_EQ(enc.message(), enc_want.message());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(ModulusBits, RsaBatchTest,
+                         ::testing::Values(size_t{512}, size_t{1024}));
 
 }  // namespace
 }  // namespace psi

@@ -14,6 +14,7 @@
 
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
+#include "bigint/modular.h"
 #include "common/thread_pool.h"
 #include "graph/generators.h"
 #include "influence/em_learner.h"
@@ -61,11 +62,15 @@ struct P6Run {
   std::vector<TranscriptNetwork::Frame> frames;
   std::string traffic;
   std::vector<std::vector<std::tuple<NodeId, NodeId, uint64_t>>> arcs;
+  uint64_t crypto_ops = 0;
 };
 
+// `rsa_bits` = 512 gives 8-limb n and 4-limb p, q: the widths the batched
+// IFMA exponentiation serves. 384 stays on widths it never serves.
 P6Run RunProtocol6(size_t num_threads,
                    Protocol6Config::EncryptionMode mode =
-                       Protocol6Config::EncryptionMode::kPerInteger) {
+                       Protocol6Config::EncryptionMode::kPerInteger,
+                   size_t rsa_bits = 384) {
   ThreadPool::Global().SetNumThreads(num_threads);
   Rng world_rng(77);
   auto graph = ErdosRenyiArcs(&world_rng, 30, 120).ValueOrDie();
@@ -82,15 +87,18 @@ P6Run RunProtocol6(size_t num_threads,
                                  net.RegisterParty("P2"),
                                  net.RegisterParty("P3")};
   Protocol6Config cfg;
-  cfg.rsa_bits = 384;
+  cfg.rsa_bits = rsa_bits;
   cfg.encryption = mode;
   Rng r1(31), r2(32), r3(33), host_rng(34);
   std::vector<Rng*> rngs{&r1, &r2, &r3};
   PropagationGraphProtocol proto(&net, host, providers, cfg);
-  auto out = proto.Run(graph, params.num_actions, provider_logs, &host_rng,
-                       rngs).ValueOrDie();
+  SessionStats stats;
+  auto out = proto.RunSession(graph, params.num_actions, provider_logs,
+                              &host_rng, rngs, RetryPolicy{}, &stats)
+                 .ValueOrDie();
 
   P6Run run;
+  run.crypto_ops = stats.crypto_ops_total;
   run.frames = net.frames();
   run.traffic = net.Report().ToString();
   run.arcs.resize(out.graphs.size());
@@ -127,6 +135,33 @@ TEST_F(DeterminismTest, PackedProtocol6TranscriptInvariantUnderThreadCount) {
   }
   EXPECT_EQ(serial.traffic, threaded.traffic);
   EXPECT_EQ(serial.arcs, threaded.arcs);
+}
+
+TEST_F(DeterminismTest, Protocol6BatchedRsaMatchesHeapPathAtAnyThreadCount) {
+  // The batched RSA path (IFMA lanes where the CPU has them) against the
+  // heap-only per-element path, at 1 and 4 pool threads, in both modes
+  // that encrypt per ciphertext: transcript, metering, crypto-op count and
+  // output must all be identical.
+  using Mode = Protocol6Config::EncryptionMode;
+  for (Mode mode : {Mode::kPerInteger, Mode::kPackedInteger}) {
+    P6Run heap;
+    {
+      ScopedHeapOnlyModPow heap_only;
+      heap = RunProtocol6(1, mode, /*rsa_bits=*/512);
+    }
+    for (size_t threads : {1u, 4u}) {
+      P6Run batched = RunProtocol6(threads, mode, /*rsa_bits=*/512);
+      ASSERT_EQ(heap.frames.size(), batched.frames.size());
+      for (size_t i = 0; i < heap.frames.size(); ++i) {
+        ASSERT_EQ(heap.frames[i], batched.frames[i])
+            << "frame " << i << " threads " << threads;
+      }
+      EXPECT_EQ(heap.traffic, batched.traffic);
+      EXPECT_EQ(heap.arcs, batched.arcs);
+      EXPECT_EQ(heap.crypto_ops, batched.crypto_ops);
+      EXPECT_GT(batched.crypto_ops, 0u);
+    }
+  }
 }
 
 struct HSumRun {

@@ -2,12 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
 #include <memory>
+#include <string>
 
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
+#include "crypto/rsa.h"
 #include "graph/generators.h"
 #include "influence/user_score.h"
+#include "net/envelope.h"
 
 namespace psi {
 namespace {
@@ -222,6 +227,153 @@ TEST(Protocol6Test, Validation) {
   EXPECT_FALSE(proto.Run(*f.graph, 25, {f.provider_logs[0]},
                          f.host_rng.get(), f.RngPtrs())
                    .ok());
+}
+
+// Rewrites the aggregated E(Delta) payload that P1 relays to H (step 10)
+// and keeps H's public key (step 3), re-sealing the envelope so only the
+// decoder can object.
+class TamperNetwork : public Network {
+ public:
+  std::function<std::vector<uint8_t>(const std::vector<uint8_t>&)> rewrite;
+  RsaPublicKey pub;
+
+ protected:
+  Status Transmit(PartyId from, PartyId to,
+                  std::vector<uint8_t> frame) override {
+    auto env = OpenEnvelope(frame);
+    if (env.ok() && env->protocol_id == ProtocolId::kPropagationGraph) {
+      if (env->step == 3) {
+        BinaryReader r(env->payload);
+        EXPECT_TRUE(ReadBigUInt(&r, &pub.n).ok());
+        EXPECT_TRUE(ReadBigUInt(&r, &pub.e).ok());
+      } else if (env->step == 10 && rewrite) {
+        frame = SealEnvelope(env->protocol_id, env->step, env->sender,
+                             env->seq, rewrite(env->payload));
+      }
+    }
+    return Network::Transmit(from, to, std::move(frame));
+  }
+};
+
+// Replaces ciphertexts of the first action entry in the aggregate (first
+// provider's bundle), by position; every other byte is kept.
+std::vector<uint8_t> ReplaceCiphertexts(
+    const std::vector<uint8_t>& payload,
+    const std::map<size_t, BigUInt>& replacements) {
+  BinaryReader r(payload);
+  BinaryWriter w;
+  uint64_t actions = 0, count = 0;
+  uint32_t action = 0;
+  uint8_t mode = 0;
+  EXPECT_TRUE(r.ReadVarU64(&actions).ok());
+  EXPECT_TRUE(r.ReadU32(&action).ok());
+  EXPECT_TRUE(r.ReadU8(&mode).ok());
+  EXPECT_TRUE(r.ReadVarU64(&count).ok());
+  w.WriteVarU64(actions);
+  w.WriteU32(action);
+  w.WriteU8(mode);
+  w.WriteVarU64(count);
+  const size_t last = replacements.rbegin()->first;
+  for (size_t i = 0; i <= last; ++i) {
+    BigUInt c;
+    EXPECT_TRUE(ReadBigUInt(&r, &c).ok());
+    auto it = replacements.find(i);
+    WriteBigUInt(&w, it == replacements.end() ? c : it->second);
+  }
+  w.WriteRaw(payload.data() + (payload.size() - r.remaining()), r.remaining());
+  return w.TakeBuffer();
+}
+
+// One Protocol 6 run whose aggregate goes through `rewrite`; returns the
+// run's status.
+Status RunTampered(
+    Protocol6Config::EncryptionMode mode,
+    const std::function<std::vector<uint8_t>(const RsaPublicKey&,
+                                             const std::vector<uint8_t>&)>&
+        rewrite) {
+  Rng rng(21);
+  auto graph = ErdosRenyiArcs(&rng, 20, 60).ValueOrDie();
+  auto truth = GroundTruthInfluence::Uniform(graph, 0.5);
+  CascadeParams params;
+  params.num_actions = 6;
+  auto log = GenerateCascades(&rng, graph, truth, params).ValueOrDie();
+  auto provider_logs = ExclusivePartition(&rng, log, 2).ValueOrDie();
+  TamperNetwork net;
+  PartyId host = net.RegisterParty("H");
+  std::vector<PartyId> providers{net.RegisterParty("P1"),
+                                 net.RegisterParty("P2")};
+  net.rewrite = [&](const std::vector<uint8_t>& payload) {
+    return rewrite(net.pub, payload);
+  };
+  Rng r1(1), r2(2), host_rng(3);
+  PropagationGraphProtocol proto(&net, host, providers, SmallRsaConfig(mode));
+  return proto.Run(graph, params.num_actions, provider_logs, &host_rng,
+                   {&r1, &r2})
+      .status();
+}
+
+// The decoder's own error, as the session reports it ("... in stage
+// 'decode'; last error: <message>").
+std::string DecodeError(const Status& st) {
+  EXPECT_EQ(st.code(), StatusCode::kProtocolError) << st.ToString();
+  const std::string marker = "in stage 'decode'; last error: ";
+  const size_t at = st.message().find(marker);
+  if (at == std::string::npos) return "<not a decode failure> " + st.ToString();
+  return st.message().substr(at + marker.size());
+}
+
+// Encrypts a value whose plaintext does not fit a Delta after >> 64.
+BigUInt WidePlaintextCiphertext(const RsaPublicKey& pub) {
+  return RsaEncrypt(pub, BigUInt::PowerOfTwo(130)).ValueOrDie();
+}
+
+TEST(Protocol6Test, CiphertextAtOrAboveModulusIsRejected) {
+  using Mode = Protocol6Config::EncryptionMode;
+  for (Mode mode : {Mode::kPerInteger, Mode::kPackedInteger}) {
+    Status st = RunTampered(mode, [](const RsaPublicKey& pub,
+                                     const std::vector<uint8_t>& payload) {
+      return ReplaceCiphertexts(payload, {{0, pub.n + BigUInt(3)}});
+    });
+    EXPECT_EQ(DecodeError(st), "RSA ciphertext >= modulus");
+  }
+}
+
+TEST(Protocol6Test, PlaintextWiderThanADeltaIsRejected) {
+  Status st = RunTampered(
+      Protocol6Config::EncryptionMode::kPerInteger,
+      [](const RsaPublicKey& pub, const std::vector<uint8_t>& payload) {
+        return ReplaceCiphertexts(payload, {{2, WidePlaintextCiphertext(pub)}});
+      });
+  EXPECT_EQ(DecodeError(st), "value exceeds 64 bits");
+}
+
+TEST(Protocol6Test, FirstBadCiphertextDecidesTheError) {
+  // A wide plaintext before an out-of-range ciphertext reports the wide
+  // plaintext, and the other way round: the lowest bad index wins.
+  constexpr auto kMode = Protocol6Config::EncryptionMode::kPerInteger;
+  Status wide_first = RunTampered(
+      kMode, [](const RsaPublicKey& pub, const std::vector<uint8_t>& payload) {
+        return ReplaceCiphertexts(
+            payload, {{2, WidePlaintextCiphertext(pub)}, {9, pub.n}});
+      });
+  EXPECT_EQ(DecodeError(wide_first), "value exceeds 64 bits");
+  Status range_first = RunTampered(
+      kMode, [](const RsaPublicKey& pub, const std::vector<uint8_t>& payload) {
+        return ReplaceCiphertexts(
+            payload, {{2, pub.n}, {9, WidePlaintextCiphertext(pub)}});
+      });
+  EXPECT_EQ(DecodeError(range_first), "RSA ciphertext >= modulus");
+}
+
+TEST(Protocol6Test, TruncatedAggregateIsRejected) {
+  using Mode = Protocol6Config::EncryptionMode;
+  for (Mode mode : {Mode::kPerInteger, Mode::kPackedInteger}) {
+    Status st = RunTampered(
+        mode, [](const RsaPublicKey&, const std::vector<uint8_t>& payload) {
+          return std::vector<uint8_t>(payload.begin(), payload.end() - 9);
+        });
+    EXPECT_EQ(DecodeError(st), "element count exceeds buffer capacity");
+  }
 }
 
 }  // namespace

@@ -8,12 +8,18 @@ Validates a fresh bench_bigint JSON run against the committed baseline
      psi libraries (context key `psi_build_type`, falling back to the
      google-benchmark `library_build_type` for pre-engine files). Debug
      numbers gate nothing and are rejected loudly.
-  2. Absolute floors (the PR's acceptance criteria; machine independent
-     because both sides of each ratio come from the same run):
+  2. Absolute floors (machine independent because both sides of each
+     ratio come from the same run):
        - BM_MontgomeryPow/1024 at least 2x faster than its *Heap twin;
-       - BM_PaillierDecryptCrt/1024 at least 2x faster than its *Heap twin.
-  3. Regression guard: neither ratio may fall more than 25% below the
-     committed baseline's ratio.
+       - BM_PaillierDecryptCrt/1024 at least 2x faster than its *Heap twin;
+       - BM_RsaDecryptBatch/512 and /1024 at least 2x faster per ciphertext
+         than the BM_RsaDecryptLoop twin, but only when the run's kernel
+         stamp (context key `psi_limb_kernel`) names the IFMA batch kernel.
+         On other CPUs the batch path is the per-ciphertext loop, so the
+         pair is reported, not gated.
+  3. Regression guard: no gated ratio may fall more than 25% below the
+     committed baseline's ratio (the IFMA pairs only when the baseline was
+     recorded with the IFMA kernel too).
 
 The whole-protocol BM_Protocol4EndToEnd / BM_Protocol6EndToEnd deltas are
 printed for the record but not gated: the protocol benches spend most of
@@ -31,6 +37,13 @@ GATED_PAIRS = [
     ("BM_MontgomeryPow/1024", "BM_MontgomeryPowHeap/1024"),
     ("BM_PaillierDecryptCrt/1024", "BM_PaillierDecryptCrtHeap/1024"),
 ]
+# Batched RSA-CRT vs per-ciphertext RsaDecrypt over the same ciphertexts;
+# gated only on runs whose kernel stamp names the IFMA batch kernel.
+IFMA_PAIRS = [
+    ("BM_RsaDecryptBatch/512", "BM_RsaDecryptLoop/512"),
+    ("BM_RsaDecryptBatch/1024", "BM_RsaDecryptLoop/1024"),
+]
+IFMA_KERNEL = "x86-adx+ifma"
 REPORTED_PAIRS = [
     ("BM_MontgomeryPow/512", "BM_MontgomeryPowHeap/512"),
     ("BM_MontgomeryPow/2048", "BM_MontgomeryPowHeap/2048"),
@@ -62,10 +75,12 @@ def require_release_build(data, label):
 
 
 def load(path, label):
+    """Returns ({name: bench}, limb-kernel stamp) of a Release bench JSON."""
     with open(path) as f:
         data = json.load(f)
     require_release_build(data, label)
-    return {bench["name"]: bench for bench in data.get("benchmarks", [])}
+    kernel = data.get("context", {}).get("psi_limb_kernel")
+    return {bench["name"]: bench for bench in data.get("benchmarks", [])}, kernel
 
 
 def cpu_time(benches, name):
@@ -78,7 +93,7 @@ def cpu_time(benches, name):
 
 
 def speedup(benches, engine_name, heap_name):
-    """Heap time / engine time from the same run."""
+    """Slow-twin time / fast time from the same run."""
     return cpu_time(benches, heap_name) / cpu_time(benches, engine_name)
 
 
@@ -88,34 +103,46 @@ def main():
     parser.add_argument("--run", required=True)
     args = parser.parse_args()
 
-    baseline = load(args.baseline, f"baseline {args.baseline}")
-    fresh = load(args.run, f"run {args.run}")
+    baseline, baseline_kernel = load(args.baseline, f"baseline {args.baseline}")
+    fresh, fresh_kernel = load(args.run, f"run {args.run}")
+
+    # (pair, compare against the baseline ratio too)
+    gated = [(pair, True) for pair in GATED_PAIRS]
+    if fresh_kernel == IFMA_KERNEL:
+        gated += [(pair, baseline_kernel == IFMA_KERNEL) for pair in IFMA_PAIRS]
+    else:
+        print(f"limb kernel '{fresh_kernel}' has no IFMA batch kernel: "
+              "BM_RsaDecryptBatch pairs reported, not gated")
 
     failures = []
-    for engine_name, heap_name in GATED_PAIRS:
+    for (engine_name, heap_name), vs_baseline in gated:
         fresh_ratio = speedup(fresh, engine_name, heap_name)
-        base_ratio = speedup(baseline, engine_name, heap_name)
-        floor = base_ratio * (1.0 - MAX_REGRESSION)
-        print(
-            f"{engine_name}: {fresh_ratio:.2f}x over heap "
-            f"(baseline {base_ratio:.2f}x, regression floor {floor:.2f}x)"
-        )
+        line = f"{engine_name}: {fresh_ratio:.2f}x over {heap_name}"
         if fresh_ratio < MIN_SPEEDUP:
             failures.append(
                 f"{engine_name} speedup {fresh_ratio:.2f}x < required "
                 f"{MIN_SPEEDUP}x"
             )
-        if fresh_ratio < floor:
-            failures.append(
-                f"{engine_name} regressed: {fresh_ratio:.2f}x vs baseline "
-                f"{base_ratio:.2f}x (> {MAX_REGRESSION:.0%} drop)"
-            )
+        if vs_baseline:
+            base_ratio = speedup(baseline, engine_name, heap_name)
+            floor = base_ratio * (1.0 - MAX_REGRESSION)
+            line += (f" (baseline {base_ratio:.2f}x, regression floor "
+                     f"{floor:.2f}x)")
+            if fresh_ratio < floor:
+                failures.append(
+                    f"{engine_name} regressed: {fresh_ratio:.2f}x vs baseline "
+                    f"{base_ratio:.2f}x (> {MAX_REGRESSION:.0%} drop)"
+                )
+        print(line)
 
-    for engine_name, heap_name in REPORTED_PAIRS:
+    reported = REPORTED_PAIRS
+    if fresh_kernel != IFMA_KERNEL:
+        reported = reported + IFMA_PAIRS
+    for engine_name, heap_name in reported:
         if engine_name in fresh and heap_name in fresh:
             print(
                 f"{engine_name}: {speedup(fresh, engine_name, heap_name):.2f}x "
-                "over heap (reported, not gated)"
+                f"over {heap_name} (reported, not gated)"
             )
 
     if failures:
