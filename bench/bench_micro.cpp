@@ -15,6 +15,7 @@
 #include "bigint/modular.h"
 #include "bigint/montgomery.h"
 #include "bigint/primes.h"
+#include "common/serialize.h"
 #include "crypto/packing.h"
 #include "crypto/paillier.h"
 #include "crypto/rsa.h"
@@ -123,6 +124,18 @@ void BM_Sha256(benchmark::State& state) {
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_Sha256)->Arg(64)->Arg(4096)->Arg(1 << 16);
+
+// Envelope checksum: every framed message is sealed and opened with it.
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> data(static_cast<size_t>(state.range(0)));
+  Rng rng(5);
+  rng.FillBytes(data.data(), data.size());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 void BM_RsaEncrypt(benchmark::State& state) {
   Rng rng(6);
@@ -414,21 +427,35 @@ BENCHMARK(BM_Protocol4EndToEnd)->Arg(100)->Arg(300)->Unit(benchmark::kMillisecon
 
 // ------------------------------------------------------------- influence --
 
+// Args: users n, arcs |E|, actions |A|, and q, the size of an obfuscated
+// pair set Omega_E' built as Protocol 4 builds it (shuffled, decoys
+// included); q = 0 counts over the arcs themselves, in graph order.
 void BM_ComputeCounters(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
+  const auto arcs = static_cast<size_t>(state.range(1));
+  const auto q = static_cast<size_t>(state.range(3));
   Rng rng(10);
-  auto graph = ErdosRenyiArcs(&rng, n, 8 * n).ValueOrDie();
+  auto graph = ErdosRenyiArcs(&rng, n, arcs).ValueOrDie();
   auto truth = GroundTruthInfluence::Uniform(graph, 0.3);
   CascadeParams params;
-  params.num_actions = 200;
+  params.num_actions = static_cast<size_t>(state.range(2));
   auto log = GenerateCascades(&rng, graph, truth, params).ValueOrDie();
+  std::vector<Arc> pairs = graph.arcs();
+  if (q > 0) {
+    const double factor =
+        static_cast<double>(q) / static_cast<double>(graph.num_arcs());
+    pairs = ObfuscateArcSet(&rng, graph, factor).ValueOrDie();
+  }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeFollowCounts(log, graph.arcs(), 4));
+    benchmark::DoNotOptimize(ComputeFollowCounts(log, pairs, 4));
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(graph.num_arcs()));
+                          static_cast<int64_t>(pairs.size()));
 }
-BENCHMARK(BM_ComputeCounters)->Arg(200)->Arg(1000);
+BENCHMARK(BM_ComputeCounters)
+    ->Args({200, 1600, 200, 0})
+    ->Args({1000, 8000, 200, 0})
+    ->Args({200, 1000, 100, 2000});  // p4_paper's shape (Table 1).
 
 void BM_UserScores(benchmark::State& state) {
   Rng rng(11);

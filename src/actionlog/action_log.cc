@@ -58,19 +58,33 @@ std::vector<ActionRecord> ActionLog::RecordsOfAction(ActionId action) const {
 }
 
 void ActionLog::BuildIndex() const {
-  user_index_.clear();
-  for (const auto& r : records_) {
-    user_index_[r.user][r.action] = r.time;
+  std::vector<ActionRecord> sorted = records_;
+  std::sort(sorted.begin(), sorted.end(),
+            [](const ActionRecord& a, const ActionRecord& b) {
+              return Key(a.user, a.action) < Key(b.user, b.action);
+            });
+  index_.clear();
+  index_users_.clear();
+  user_offsets_.clear();
+  index_.reserve(sorted.size());
+  for (const auto& r : sorted) {
+    if (index_users_.empty() || index_users_.back() != r.user) {
+      index_users_.push_back(r.user);
+      user_offsets_.push_back(index_.size());
+    }
+    index_.push_back({r.action, r.time});
   }
+  user_offsets_.push_back(index_.size());
   index_built_ = true;
 }
 
-const std::unordered_map<ActionId, uint64_t>& ActionLog::UserIndex(
-    NodeId user) const {
+std::span<const ActionTime> ActionLog::UserIndex(NodeId user) const {
   if (!index_built_) BuildIndex();
-  static const std::unordered_map<ActionId, uint64_t> kEmpty;
-  auto it = user_index_.find(user);
-  return it == user_index_.end() ? kEmpty : it->second;
+  auto it = std::lower_bound(index_users_.begin(), index_users_.end(), user);
+  if (it == index_users_.end() || *it != user) return {};
+  const size_t k = static_cast<size_t>(it - index_users_.begin());
+  return std::span<const ActionTime>(index_).subspan(
+      user_offsets_[k], user_offsets_[k + 1] - user_offsets_[k]);
 }
 
 }  // namespace psi

@@ -7,6 +7,7 @@
 #define PSI_ACTIONLOG_ACTION_LOG_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -17,6 +18,12 @@ namespace psi {
 
 /// \brief Dense action identifier in [0, num_actions).
 using ActionId = uint32_t;
+
+/// \brief One entry of a user's index: the user performed `action` at `time`.
+struct ActionTime {
+  ActionId action;
+  uint64_t time;
+};
 
 /// \brief One log record: user `user` performed action `action` at `time`.
 struct ActionRecord {
@@ -58,8 +65,11 @@ class ActionLog {
   /// \brief All records of one action, unsorted.
   std::vector<ActionRecord> RecordsOfAction(ActionId action) const;
 
-  /// \brief Per-user (action -> time) index; built once, reused by counters.
-  const std::unordered_map<ActionId, uint64_t>& UserIndex(NodeId user) const;
+  /// \brief One user's records as (action, time) entries sorted by action
+  /// (empty for a user absent from the log). The index behind it is built
+  /// on first use and rebuilt after a mutation, which invalidates every
+  /// span handed out before.
+  std::span<const ActionTime> UserIndex(NodeId user) const;
 
  private:
   static uint64_t Key(NodeId user, ActionId action) {
@@ -72,10 +82,15 @@ class ActionLog {
   std::vector<ActionRecord> records_;
   std::unordered_map<uint64_t, size_t> seen_;  // (user, action) -> record idx
 
-  // Lazily built per-user indices.
+  // Lazily built flat index: every record as (action, time), sorted by
+  // (user, action). index_users_ lists the users present in ascending order;
+  // index_users_[k] owns index_[user_offsets_[k], user_offsets_[k + 1]).
+  // Keying by present users keeps the index O(records) however sparse the
+  // user ids are.
   mutable bool index_built_ = false;
-  mutable std::unordered_map<NodeId, std::unordered_map<ActionId, uint64_t>>
-      user_index_;
+  mutable std::vector<ActionTime> index_;
+  mutable std::vector<NodeId> index_users_;
+  mutable std::vector<size_t> user_offsets_;
 };
 
 }  // namespace psi

@@ -1,6 +1,8 @@
 #include "actionlog/counters.h"
 
+#include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/logging.h"
 
@@ -15,32 +17,73 @@ std::vector<uint64_t> ComputeActionCounts(const ActionLog& log,
   return a;
 }
 
+namespace {
+
+// The same log with its action ids replaced by their ranks. Counters only
+// compare the times two users recorded for the same action, so they do not
+// depend on the labels.
+ActionLog WithDenseActionIds(const ActionLog& log) {
+  std::vector<ActionId> ids;
+  ids.reserve(log.size());
+  for (const auto& r : log.records()) ids.push_back(r.action);
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  ActionLog dense;
+  for (auto r : log.records()) {
+    r.action = static_cast<ActionId>(
+        std::lower_bound(ids.begin(), ids.end(), r.action) - ids.begin());
+    dense.Add(r);
+  }
+  return dense;
+}
+
+// Calls visit(p, tj - ti, hit) for every action pairs[p].to performed (at
+// tj); hit says pairs[p].from performed it too, at ti < tj with
+// tj - ti <= h, and the delay is meaningful only then. The from user's times
+// are scattered into scratch arrays indexed by action id, reused while
+// consecutive pairs share `from`; the to user's entries are looked up in
+// them. Whether `to` followed is data-dependent, so hit is computed without
+// branches, and tj - ti is only trusted once tj > ti. ActionId is dense, so
+// the arrays have one slot per id; a log whose largest id is far above its
+// record count is relabelled first so they stay O(records).
+template <typename Visit>
+void ForEachFollow(const ActionLog& log, const std::vector<Arc>& pairs,
+                   uint64_t h, Visit visit) {
+  size_t slots = 0;
+  for (const auto& r : log.records()) {
+    slots = std::max(slots, static_cast<size_t>(r.action) + 1);
+  }
+  if (slots > 4 * log.size() + 4096) {
+    ForEachFollow(WithDenseActionIds(log), pairs, h, visit);
+    return;
+  }
+  std::vector<uint64_t> from_time(slots);
+  std::vector<uint8_t> from_has(slots, 0);
+  std::span<const ActionTime> from_actions;
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    if (p == 0 || pairs[p].from != pairs[p - 1].from) {
+      for (const auto& e : from_actions) from_has[e.action] = 0;
+      from_actions = log.UserIndex(pairs[p].from);
+      for (const auto& e : from_actions) {
+        from_time[e.action] = e.time;
+        from_has[e.action] = 1;
+      }
+    }
+    for (const auto& [action, tj] : log.UserIndex(pairs[p].to)) {
+      const uint64_t ti = from_time[action];
+      visit(p, tj - ti, (from_has[action] != 0) & (tj > ti) & (tj - ti <= h));
+    }
+  }
+}
+
+}  // namespace
+
 std::vector<uint64_t> ComputeFollowCounts(const ActionLog& log,
                                           const std::vector<Arc>& pairs,
                                           uint64_t h) {
   std::vector<uint64_t> b(pairs.size(), 0);
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    const auto& i_actions = log.UserIndex(pairs[p].from);
-    const auto& j_actions = log.UserIndex(pairs[p].to);
-    // Iterate over the smaller index for speed; membership test on the other.
-    if (i_actions.size() <= j_actions.size()) {
-      for (const auto& [action, ti] : i_actions) {
-        auto it = j_actions.find(action);
-        if (it != j_actions.end() && it->second > ti &&
-            it->second <= ti + h) {
-          ++b[p];
-        }
-      }
-    } else {
-      for (const auto& [action, tj] : j_actions) {
-        auto it = i_actions.find(action);
-        if (it != i_actions.end() && tj > it->second &&
-            tj <= it->second + h) {
-          ++b[p];
-        }
-      }
-    }
-  }
+  ForEachFollow(log, pairs, h,
+                [&b](size_t p, uint64_t, bool hit) { b[p] += hit; });
   return b;
 }
 
@@ -48,16 +91,10 @@ std::vector<std::vector<uint64_t>> ComputeExactDelayCounts(
     const ActionLog& log, const std::vector<Arc>& pairs, uint64_t h) {
   std::vector<std::vector<uint64_t>> c(pairs.size(),
                                        std::vector<uint64_t>(h, 0));
-  for (size_t p = 0; p < pairs.size(); ++p) {
-    const auto& i_actions = log.UserIndex(pairs[p].from);
-    const auto& j_actions = log.UserIndex(pairs[p].to);
-    for (const auto& [action, ti] : i_actions) {
-      auto it = j_actions.find(action);
-      if (it != j_actions.end() && it->second > ti && it->second <= ti + h) {
-        ++c[p][it->second - ti - 1];
-      }
-    }
-  }
+  ForEachFollow(log, pairs, h,
+                [&c](size_t p, uint64_t delay, bool hit) {
+                  if (hit) ++c[p][delay - 1];
+                });
   return c;
 }
 

@@ -1,6 +1,7 @@
 #include "bigint/biguint.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdlib>
@@ -567,17 +568,18 @@ Status ReadBigUInt(BinaryReader* r, BigUInt* out) {
   // is malformed; checking against remaining() (instead of a fixed cap)
   // keeps a tiny buffer from driving a large allocation.
   PSI_RETURN_NOT_OK(r->ReadCount(&count, /*min_bytes_per_element=*/8));
-  std::vector<uint8_t> bytes(static_cast<size_t>(count) * 8);
-  BigUInt v;
-  for (uint64_t i = 0; i < count; ++i) {
-    uint64_t limb;
-    PSI_RETURN_NOT_OK(r->ReadU64(&limb));
-    for (size_t b = 0; b < 8; ++b) {
-      bytes[static_cast<size_t>(i) * 8 + b] =
-          static_cast<uint8_t>((limb >> (8 * b)) & 0xff);
-    }
+  // Values up to 2048 bits (shares, Paillier ciphertexts) stage their limbs
+  // on the stack; only wider ones need a heap buffer.
+  std::array<uint64_t, 32> small;
+  std::vector<uint64_t> large;
+  uint64_t* limbs = small.data();
+  if (count > small.size()) {
+    large.resize(static_cast<size_t>(count));
+    limbs = large.data();
   }
-  *out = BigUInt::FromLittleEndianBytes(bytes);
+  PSI_RETURN_NOT_OK(r->ReadU64s(limbs, static_cast<size_t>(count)));
+  // FromLimbs normalises, so zero top limbs a sender padded with vanish.
+  *out = BigUInt::FromLimbs(limbs, static_cast<size_t>(count));
   return Status::OK();
 }
 

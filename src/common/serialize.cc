@@ -34,6 +34,14 @@ Status BinaryReader::ReadU16(uint16_t* out) { return Take(out, 2); }
 Status BinaryReader::ReadU32(uint32_t* out) { return Take(out, 4); }
 Status BinaryReader::ReadU64(uint64_t* out) { return Take(out, 8); }
 
+Status BinaryReader::ReadU64s(uint64_t* out, size_t n) {
+  if (n > remaining() / 8) {
+    return Status::SerializationError("read past end of buffer");
+  }
+  if (n == 0) return Status::OK();  // `out` may be null for an empty array.
+  return Take(out, n * 8);  // Little-endian host assumed, as in ReadU64.
+}
+
 Status BinaryReader::ReadI64(int64_t* out) {
   uint64_t v;
   PSI_RETURN_NOT_OK(ReadU64(&v));
@@ -100,26 +108,50 @@ Status BinaryReader::ReadCount(uint64_t* out, size_t min_bytes_per_element) {
 
 namespace {
 
-struct Crc32Table {
-  uint32_t entries[256];
-  Crc32Table() {
+// Slicing-by-8 tables for the reflected polynomial 0xEDB88320: entries[0] is
+// the classic bytewise table, and entries[k][b] is the CRC of byte b followed
+// by k zero bytes, so eight table lookups advance the CRC by eight bytes.
+struct Crc32Tables {
+  uint32_t entries[8][256];
+  Crc32Tables() {
     for (uint32_t i = 0; i < 256; ++i) {
       uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
       }
-      entries[i] = c;
+      entries[0][i] = c;
+    }
+    for (int k = 1; k < 8; ++k) {
+      for (uint32_t i = 0; i < 256; ++i) {
+        const uint32_t prev = entries[k - 1][i];
+        entries[k][i] = entries[0][prev & 0xFF] ^ (prev >> 8);
+      }
     }
   }
 };
 
+// Little-endian 32-bit load, independent of the host's byte order.
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | (static_cast<uint32_t>(p[1]) << 8) |
+         (static_cast<uint32_t>(p[2]) << 16) |
+         (static_cast<uint32_t>(p[3]) << 24);
+}
+
 }  // namespace
 
 uint32_t Crc32(const uint8_t* data, size_t len) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.entries;
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    crc = table.entries[(crc ^ data[i]) & 0xFF] ^ (crc >> 8);
+  for (; len >= 8; data += 8, len -= 8) {
+    const uint32_t lo = crc ^ LoadLe32(data);
+    const uint32_t hi = LoadLe32(data + 4);
+    crc = t[7][lo & 0xFF] ^ t[6][(lo >> 8) & 0xFF] ^ t[5][(lo >> 16) & 0xFF] ^
+          t[4][lo >> 24] ^ t[3][hi & 0xFF] ^ t[2][(hi >> 8) & 0xFF] ^
+          t[1][(hi >> 16) & 0xFF] ^ t[0][hi >> 24];
+  }
+  for (; len > 0; ++data, --len) {
+    crc = t[0][(crc ^ *data) & 0xFF] ^ (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
 }

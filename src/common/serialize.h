@@ -73,6 +73,8 @@ class BinaryReader {
   [[nodiscard]] Status ReadU16(uint16_t* out);
   [[nodiscard]] Status ReadU32(uint32_t* out);
   [[nodiscard]] Status ReadU64(uint64_t* out);
+  /// Reads `n` consecutive little-endian 64-bit words into out[0, n).
+  [[nodiscard]] Status ReadU64s(uint64_t* out, size_t n);
   [[nodiscard]] Status ReadI64(int64_t* out);
   [[nodiscard]] Status ReadDouble(double* out);
   [[nodiscard]] Status ReadVarU64(uint64_t* out);

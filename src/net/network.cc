@@ -304,6 +304,11 @@ void Network::ResyncChannel(PartyId from, PartyId to) {
   stash_[key].clear();
 }
 
+uint64_t Network::ExpectedRecvSeq(PartyId from, PartyId to) const {
+  auto it = recv_seq_.find({from, to});
+  return it == recv_seq_.end() ? 0 : it->second;
+}
+
 size_t Network::StashedCount(PartyId from, PartyId to) const {
   auto it = stash_.find({from, to});
   return it == stash_.end() ? 0 : it->second.size();

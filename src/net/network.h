@@ -240,6 +240,11 @@ class Network {
     return rounds_.empty() ? 0 : rounds_.size() - 1;
   }
 
+  /// \brief Next sequence number RecvValidated accepts on (from -> to).
+  /// Frames below it were accepted or skipped by a resync; it never moves
+  /// back, so they can never be requested again.
+  uint64_t ExpectedRecvSeq(PartyId from, PartyId to) const;
+
   /// \brief Label of the current round, or "<no round>" before the first.
   const std::string& CurrentRoundLabel() const;
 

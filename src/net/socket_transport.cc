@@ -179,7 +179,7 @@ Status SocketNetwork::Transmit(PartyId from, PartyId to,
     }
     frame = std::move(verdict.frame);
   } else {
-    sent_log_[{from, to}].push_back(frame);  // Pristine retransmit copy.
+    LogSent(from, to, frame);
   }
   const size_t index = LinkFor(from, to);
   for (int copy = 0; copy < copies; ++copy) {
@@ -193,6 +193,21 @@ Status SocketNetwork::Transmit(PartyId from, PartyId to,
     }
   }
   return Status::OK();
+}
+
+size_t SocketNetwork::SentLogFrames() const {
+  size_t frames = 0;
+  for (const auto& [channel, log] : sent_log_) frames += log.size();
+  return frames;
+}
+
+void SocketNetwork::LogSent(PartyId from, PartyId to,
+                            const std::vector<uint8_t>& frame) {
+  auto seq = PeekEnvelopeSeq(frame);
+  if (!seq.ok()) return;  // Unframed sends are never retransmitted.
+  auto& log = sent_log_[{from, to}];
+  log.erase(log.begin(), log.lower_bound(ExpectedRecvSeq(from, to)));
+  log.insert_or_assign(seq.ValueOrDie(), frame);
 }
 
 void SocketNetwork::BeginRound(std::string label) {
@@ -397,18 +412,18 @@ Result<std::vector<uint8_t>> SocketNetwork::RequestRetransmit(PartyId to,
   }
   auto it = sent_log_.find({from, to});
   if (it != sent_log_.end()) {
-    for (const auto& frame : it->second) {
-      auto peeked = PeekEnvelopeSeq(frame);
-      if (!peeked.ok() || peeked.ValueOrDie() != seq) continue;
+    auto sent = it->second.find(seq);
+    if (sent != it->second.end()) {
       // Served directly from the pristine log (the copy a real daemon
       // restart would have lost in flight), metered as a fresh send.
+      const std::vector<uint8_t>& frame = sent->second;
       MeterSend(from, frame.size(), frame.size() - kEnvelopeOverheadBytes);
       return frame;
     }
   }
   return Status::FailedPrecondition(
       "retransmit refused: no frame with seq " + std::to_string(seq) +
-      " was ever sent on " + DescribeChannel(from, to));
+      " awaiting delivery on " + DescribeChannel(from, to));
 }
 
 Status SocketNetwork::DialAndAuth(DaemonLink* link, bool resume) {

@@ -25,7 +25,8 @@
 //   - heartbeat probes with a dead-peer timeout while waiting;
 //   - a pristine per-channel sent log serving RequestRetransmit, so frames
 //     lost inside a killed daemon are recovered the same way the simulator
-//     recovers dropped frames;
+//     recovers dropped frames; it is indexed by seq and keeps only frames
+//     the receiver has not accepted yet;
 //   - an optional FaultInjector decorating the relay path, so one chaos
 //     plan produces one fault schedule on either backend (docs/FAULTS.md).
 //
@@ -159,6 +160,11 @@ class SocketNetwork : public Network, public RemoteExecTransport {
 
   const TransportStats& transport_stats() const { return stats_; }
 
+  /// \brief Frames held for retransmission across all channels: only those
+  /// sent but not yet accepted, plus each channel's latest frame until the
+  /// channel's next send prunes it.
+  size_t SentLogFrames() const;
+
   /// \brief True when the link carrying `party` is currently usable.
   bool LinkAlive(PartyId party) const;
 
@@ -240,15 +246,20 @@ class SocketNetwork : public Network, public RemoteExecTransport {
   void CloseLink(DaemonLink* link);
   void MarkDead(DaemonLink* link);
 
+  /// Keeps a pristine copy of a framed send for RequestRetransmit and drops
+  /// the channel's frames the receiver has already accepted.
+  void LogSent(PartyId from, PartyId to, const std::vector<uint8_t>& frame);
+
   SocketTransportConfig config_;
   Rng backoff_rng_;
   TransportStats stats_;
   std::vector<DaemonLink> links_;
   std::map<PartyId, size_t> route_;  // Hosted party -> links_ index.
   std::optional<FaultInjector> injector_;
-  // Pristine frames for retransmission when no injector owns that job.
-  std::map<std::pair<PartyId, PartyId>, std::vector<std::vector<uint8_t>>>
-      sent_log_;
+  // Pristine frames for retransmission when no injector owns that job,
+  // per channel and keyed by envelope seq. Transmit prunes every frame below
+  // the channel's ExpectedRecvSeq, so the log holds only frames in flight.
+  std::map<ChannelKey, std::map<uint64_t, std::vector<uint8_t>>> sent_log_;
 };
 
 }  // namespace psi

@@ -67,12 +67,16 @@ TEST(ActionLogTest, RecordsOfActionFilters) {
 TEST(ActionLogTest, UserIndexReflectsUpdates) {
   ActionLog log;
   log.Add({1, 1, 10});
-  EXPECT_EQ(log.UserIndex(1).at(1), 10u);
+  ASSERT_EQ(log.UserIndex(1).size(), 1u);
+  EXPECT_EQ(log.UserIndex(1)[0].action, 1u);
+  EXPECT_EQ(log.UserIndex(1)[0].time, 10u);
   log.Add({1, 2, 20});
   // Index rebuilds lazily after mutation.
   EXPECT_EQ(log.UserIndex(1).size(), 2u);
   log.Add({1, 1, 5});  // Earlier duplicate updates the time.
-  EXPECT_EQ(log.UserIndex(1).at(1), 5u);
+  ASSERT_EQ(log.UserIndex(1).size(), 2u);
+  EXPECT_EQ(log.UserIndex(1)[0].action, 1u);  // Sorted by action.
+  EXPECT_EQ(log.UserIndex(1)[0].time, 5u);
   EXPECT_TRUE(log.UserIndex(42).empty());
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
+#include <utility>
+
 #include "actionlog/generator.h"
 #include "graph/generators.h"
 
@@ -142,6 +146,125 @@ TEST(CountersTest, ScaledWeightsRounding) {
 TEST(CountersTest, EmptyPairListIsFine) {
   auto b = ComputeFollowCounts(SmallLog(), {}, 4);
   EXPECT_TRUE(b.empty());
+}
+
+// Brute-force reference over the raw record list: the earliest time per
+// (user, action) wins, then every pair compares the two users' times of each
+// shared action directly. Returns, per pair, the count at each delay 1..h
+// (delays beyond `max_delay_slots` are only summed into the total).
+struct ReferenceCounts {
+  std::vector<uint64_t> follow;
+  std::vector<std::vector<uint64_t>> exact;
+};
+
+ReferenceCounts BruteForceCounts(const std::vector<ActionRecord>& raw,
+                                 const std::vector<Arc>& pairs, uint64_t h,
+                                 uint64_t max_delay_slots) {
+  std::map<std::pair<NodeId, ActionId>, uint64_t> first;
+  for (const auto& r : raw) {
+    auto [it, inserted] = first.emplace(std::make_pair(r.user, r.action), r.time);
+    if (!inserted && r.time < it->second) it->second = r.time;
+  }
+  ReferenceCounts ref;
+  ref.follow.assign(pairs.size(), 0);
+  ref.exact.assign(pairs.size(),
+                   std::vector<uint64_t>(std::min(h, max_delay_slots), 0));
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    for (const auto& [ui, ti] : first) {
+      if (ui.first != pairs[p].from) continue;
+      auto tj = first.find({pairs[p].to, ui.second});
+      if (tj == first.end() || tj->second <= ti) continue;
+      const uint64_t delay = tj->second - ti;
+      if (delay > h) continue;
+      ++ref.follow[p];
+      if (delay <= max_delay_slots) ++ref.exact[p][delay - 1];
+    }
+  }
+  return ref;
+}
+
+TEST(CountersTest, RandomizedCountsMatchBruteForce) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  Rng rng(45);
+  for (int trial = 0; trial < 60; ++trial) {
+    const NodeId users = 2 + static_cast<NodeId>(rng.NextU64() % 12);
+    const ActionId actions = 1 + static_cast<ActionId>(rng.NextU64() % 20);
+    // Times cluster at the bottom and at the top of the range, so deltas
+    // near zero and near UINT64_MAX both occur, and duplicates of one
+    // (user, action) are common.
+    std::vector<ActionRecord> raw;
+    const size_t records = rng.NextU64() % 120;
+    for (size_t k = 0; k < records; ++k) {
+      const uint64_t offset = rng.NextU64() % 12;
+      const uint64_t time = (rng.NextU64() % 3 == 0) ? kMax - offset : offset;
+      raw.push_back({static_cast<NodeId>(rng.NextU64() % users),
+                     static_cast<ActionId>(rng.NextU64() % actions), time});
+    }
+    ActionLog log;
+    for (const auto& r : raw) log.Add(r);
+    // Pairs in random order over users both in and absent from the log
+    // (ids up to users + 3), with from == to, and with runs of one `from`.
+    std::vector<Arc> pairs;
+    const size_t num_pairs = rng.NextU64() % 40;
+    for (size_t k = 0; k < num_pairs; ++k) {
+      NodeId from = static_cast<NodeId>(rng.NextU64() % (users + 3));
+      if (!pairs.empty() && rng.NextU64() % 2 == 0) from = pairs.back().from;
+      const NodeId to = rng.NextU64() % 5 == 0
+                            ? from
+                            : static_cast<NodeId>(rng.NextU64() % (users + 3));
+      pairs.push_back({from, to});
+    }
+    for (uint64_t h : {uint64_t{1}, uint64_t{2}, uint64_t{7}, uint64_t{11}}) {
+      const auto ref = BruteForceCounts(raw, pairs, h, h);
+      ASSERT_EQ(ComputeFollowCounts(log, pairs, h), ref.follow)
+          << "trial " << trial << " h " << h;
+      ASSERT_EQ(ComputeExactDelayCounts(log, pairs, h), ref.exact)
+          << "trial " << trial << " h " << h;
+    }
+    // Windows at or past the largest delay: every later adoption counts,
+    // with no wrap-around of t_i + h.
+    for (uint64_t h : {kMax - 1, kMax}) {
+      const auto ref = BruteForceCounts(raw, pairs, h, 0);
+      ASSERT_EQ(ComputeFollowCounts(log, pairs, h), ref.follow)
+          << "trial " << trial << " h " << h;
+    }
+  }
+}
+
+TEST(CountersTest, TimesNearTheTopOfTheRangeDoNotWrap) {
+  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  ActionLog log;
+  log.Add({0, 0, kMax - 2});
+  log.Add({1, 0, kMax});
+  log.Add({0, 1, 0});
+  log.Add({1, 1, kMax});
+  // Action 0 follows after 2 steps; action 1 after kMax steps, which only
+  // the unbounded window admits.
+  EXPECT_EQ(ComputeFollowCounts(log, {{0, 1}, {1, 0}}, 2),
+            (std::vector<uint64_t>{1, 0}));
+  EXPECT_EQ(ComputeFollowCounts(log, {{0, 1}}, kMax),
+            (std::vector<uint64_t>{2}));
+  EXPECT_EQ(ComputeExactDelayCounts(log, {{0, 1}}, 3),
+            (std::vector<std::vector<uint64_t>>{{0, 1, 0}}));
+}
+
+TEST(CountersTest, SparseActionIdsCountLikeDenseOnes) {
+  // Ids far above the record count are relabelled before counting; the
+  // counts must equal those of the same log with small ids.
+  ActionLog sparse;
+  ActionLog dense;
+  const ActionId big = std::numeric_limits<ActionId>::max();
+  for (const auto& [user, action, time] :
+       {ActionRecord{0, 0, 1}, ActionRecord{1, 0, 3}, ActionRecord{0, 1, 5},
+        ActionRecord{1, 1, 6}, ActionRecord{2, 1, 9}}) {
+    sparse.Add({user, action == 0 ? big : big / 2, time});
+    dense.Add({user, action, time});
+  }
+  const std::vector<Arc> pairs = {{0, 1}, {0, 2}, {1, 2}, {2, 0}};
+  EXPECT_EQ(ComputeFollowCounts(sparse, pairs, 4),
+            ComputeFollowCounts(dense, pairs, 4));
+  EXPECT_EQ(ComputeExactDelayCounts(sparse, pairs, 4),
+            ComputeExactDelayCounts(dense, pairs, 4));
 }
 
 }  // namespace

@@ -248,6 +248,78 @@ TEST(BigUIntTest, SerializationRoundTrip) {
   EXPECT_TRUE(r.AtEnd());
 }
 
+TEST(BigUIntTest, ReadBigUIntZeroLimbsIsZero) {
+  BinaryWriter w;
+  w.WriteVarU64(0);
+  BinaryReader r(w.buffer());
+  BigUInt v(99);
+  ASSERT_TRUE(ReadBigUInt(&r, &v).ok());
+  EXPECT_TRUE(v.IsZero());
+  EXPECT_EQ(v.num_limbs(), 0u);
+  EXPECT_TRUE(r.AtEnd());
+}
+
+TEST(BigUIntTest, ReadBigUIntNormalisesZeroTopLimbs) {
+  // A non-canonical encoding padded with zero top limbs decodes to the
+  // canonical value, both below and above the 32 limbs staged on the stack.
+  for (size_t width : {4u, 40u}) {
+    std::vector<uint64_t> limbs(width, 0);
+    limbs[0] = 5;
+    limbs[1] = 7;
+    BinaryWriter w;
+    w.WriteVarU64(limbs.size());
+    for (uint64_t limb : limbs) w.WriteU64(limb);
+    BinaryReader r(w.buffer());
+    BigUInt v;
+    ASSERT_TRUE(ReadBigUInt(&r, &v).ok());
+    EXPECT_EQ(v, (BigUInt(7) << 64) + BigUInt(5)) << "width " << width;
+    EXPECT_EQ(v.num_limbs(), 2u);
+    EXPECT_TRUE(r.AtEnd());
+
+    // All-zero limbs are zero.
+    BinaryWriter zeros;
+    zeros.WriteVarU64(width);
+    for (size_t i = 0; i < width; ++i) zeros.WriteU64(0);
+    BinaryReader rz(zeros.buffer());
+    ASSERT_TRUE(ReadBigUInt(&rz, &v).ok());
+    EXPECT_TRUE(v.IsZero()) << "width " << width;
+  }
+}
+
+TEST(BigUIntTest, ReadBigUIntWideValuesRoundTrip) {
+  Rng rng(1004);
+  for (size_t bits : {2047u, 2048u, 2049u, 4096u}) {
+    BigUInt value = BigUInt::RandomBits(&rng, bits);
+    BinaryWriter w;
+    WriteBigUInt(&w, value);
+    BinaryReader r(w.buffer());
+    BigUInt v;
+    ASSERT_TRUE(ReadBigUInt(&r, &v).ok());
+    EXPECT_EQ(v, value) << "bits " << bits;
+    EXPECT_TRUE(r.AtEnd());
+  }
+}
+
+TEST(BigUIntTest, ReadBigUIntRejectsCountBeyondBuffer) {
+  // Three limbs declared, two present: rejected before any limb is read,
+  // and the output keeps its old value.
+  BinaryWriter w;
+  w.WriteVarU64(3);
+  w.WriteU64(1);
+  w.WriteU64(2);
+  BinaryReader r(w.buffer());
+  BigUInt v(42);
+  Status st = ReadBigUInt(&r, &v);
+  EXPECT_EQ(st.code(), StatusCode::kSerializationError);
+  EXPECT_EQ(v, BigUInt(42));
+
+  // A huge count in a tiny buffer never drives an allocation.
+  BinaryWriter huge;
+  huge.WriteVarU64(uint64_t{1} << 60);
+  BinaryReader rh(huge.buffer());
+  EXPECT_EQ(ReadBigUInt(&rh, &v).code(), StatusCode::kSerializationError);
+}
+
 TEST(BigUIntTest, SerializedSizeMatchesActual) {
   Rng rng(1005);
   for (int i = 0; i < 50; ++i) {

@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <limits>
+#include <vector>
+
+#include "common/random.h"
+#include "net/envelope.h"
 
 namespace psi {
 namespace {
@@ -247,6 +251,58 @@ TEST(SerializeTest, Crc32DistinguishesNearbyBuffers) {
     flipped[i] ^= 1;
     EXPECT_NE(Crc32(flipped), base) << "byte " << i;
   }
+}
+
+// Bytewise CRC-32 over the reflected polynomial 0xEDB88320, bit by bit:
+// the definition the table-driven Crc32 must reproduce.
+uint32_t ReferenceCrc32(const uint8_t* data, size_t len) {
+  uint32_t crc = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    crc ^= data[i];
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) ? 0xEDB88320u ^ (crc >> 1) : (crc >> 1);
+    }
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(SerializeTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // Lengths 0-130 cover the empty input, tails alone, and several whole
+  // 8-byte blocks plus every tail length; start offsets 0-7 cover every
+  // alignment of the block loads.
+  Rng rng(17);
+  std::vector<uint8_t> buf(8 + 130);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.NextU64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 130; ++len) {
+      EXPECT_EQ(Crc32(buf.data() + offset, len),
+                ReferenceCrc32(buf.data() + offset, len))
+          << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(SerializeTest, SealedEnvelopeBytesArePinned) {
+  // A 37-byte payload puts the CRC over 62 bytes: seven 8-byte blocks and a
+  // 6-byte tail. The literal was computed independently of this library.
+  std::vector<uint8_t> payload(37);
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<uint8_t>(i);
+  }
+  const std::vector<uint8_t> golden = {
+      0x31, 0x46, 0x53, 0x50, 0x01, 0x04, 0x00, 0x07, 0x00, 0x02, 0x00, 0x00,
+      0x00, 0x08, 0x07, 0x06, 0x05, 0x04, 0x03, 0x02, 0x01, 0x25, 0x00, 0x00,
+      0x00, 0x00, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x09, 0x0a,
+      0x0b, 0x0c, 0x0d, 0x0e, 0x0f, 0x10, 0x11, 0x12, 0x13, 0x14, 0x15, 0x16,
+      0x17, 0x18, 0x19, 0x1a, 0x1b, 0x1c, 0x1d, 0x1e, 0x1f, 0x20, 0x21, 0x22,
+      0x23, 0x24, 0xfa, 0x49, 0x61, 0x1a,
+  };
+  EXPECT_EQ(SealEnvelope(ProtocolId::kLinkInfluence, /*step=*/7, /*sender=*/2,
+                         /*seq=*/0x0102030405060708ull, payload),
+            golden);
+  auto opened = OpenEnvelope(golden);
+  ASSERT_TRUE(opened.ok()) << opened.status().message();
+  EXPECT_EQ(opened->payload, payload);
 }
 
 TEST(SerializeTest, NegativeAndSpecialDoubles) {

@@ -435,6 +435,50 @@ TEST(SocketTransportTest, RetransmitServedFromPristineLogOverLiveLink) {
             std::string::npos);
 }
 
+TEST(SocketTransportTest, SentLogStaysBoundedAndServesFramesInFlight) {
+  DaemonThread daemon;
+  SocketNetwork net(FastConfig());
+  PartyId h = net.RegisterParty("H");
+  PartyId p1 = net.RegisterParty("P1");
+  ASSERT_TRUE(net.ConnectDaemon("127.0.0.1", daemon.port(), {p1}).ok());
+
+  // Many sessions' worth of round trips in both directions: each send
+  // prunes the frames its channel already accepted, so the log holds at
+  // most the latest frame per channel instead of every frame ever sent.
+  for (uint8_t session = 0; session < 200; ++session) {
+    net.BeginRound("socket.session");
+    ASSERT_TRUE(
+        net.SendFramed(h, p1, ProtocolId::kSecureSum, 1, {session}).ok());
+    ASSERT_TRUE(net.RecvValidated(p1, h, ProtocolId::kSecureSum, 1).ok());
+    ASSERT_TRUE(
+        net.SendFramed(p1, h, ProtocolId::kSecureSum, 2, {session}).ok());
+    ASSERT_TRUE(net.RecvValidated(h, p1, ProtocolId::kSecureSum, 2).ok());
+  }
+  EXPECT_LE(net.SentLogFrames(), 2u);
+
+  // A frame lost before it was accepted is still served, even after a
+  // later send on its channel pruned the log: a raw receive takes the first
+  // of two frames out of the mailbox unvalidated, so RecvValidated stashes
+  // the second and asks for the first again.
+  net.BeginRound("socket.lost");
+  const std::vector<uint8_t> first = {7, 7, 7};
+  const std::vector<uint8_t> second = {8};
+  ASSERT_TRUE(net.SendFramed(h, p1, ProtocolId::kSecureSum, 3, first).ok());
+  ASSERT_TRUE(net.SendFramed(h, p1, ProtocolId::kSecureSum, 3, second).ok());
+  ASSERT_TRUE(net.Recv(p1, h).ok());
+  RecvOptions opts;
+  opts.deadline_ms = 200;
+  auto got = net.RecvValidated(p1, h, ProtocolId::kSecureSum, 3, opts);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_EQ(got.ValueOrDie(), first);
+  got = net.RecvValidated(p1, h, ProtocolId::kSecureSum, 3, opts);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_EQ(got.ValueOrDie(), second);
+  EXPECT_EQ(net.Report().rounds.back().num_messages, 3u);  // Two + a resend.
+  EXPECT_LE(net.SentLogFrames(), 3u);
+  EXPECT_EQ(net.PendingCount(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // The shared fault decorator over sockets.
 

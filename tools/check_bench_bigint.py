@@ -21,12 +21,20 @@ Validates a fresh bench_bigint JSON run against the committed baseline
      committed baseline's ratio (the IFMA pairs only when the baseline was
      recorded with the IFMA kernel too).
 
+Every ratio is taken between google-benchmark's `median` aggregates of
+repeated runs, so one slow repetition on a shared vCPU cannot fail the gate
+on its own: each gated benchmark needs a median over at least
+MIN_REPETITIONS repetitions in both files.
+
 The whole-protocol BM_Protocol4EndToEnd / BM_Protocol6EndToEnd deltas are
 printed for the record but not gated: the protocol benches spend most of
 their time outside modular exponentiation, so their engine-vs-heap ratio is
 small and noisy on shared CI runners.
 
 Usage: check_bench_bigint.py --baseline BENCH_bigint.json --run fresh.json
+Record a run with:
+  bench_bigint --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
+      --benchmark_enable_random_interleaving=true --benchmark_out=fresh.json
 """
 
 import argparse
@@ -55,6 +63,7 @@ REPORTED_PAIRS = [
 
 MIN_SPEEDUP = 2.0
 MAX_REGRESSION = 0.25
+MIN_REPETITIONS = 3
 
 
 def require_release_build(data, label):
@@ -74,27 +83,44 @@ def require_release_build(data, label):
         )
 
 
+def medians(benchmarks):
+    """{run name: (median cpu_time, repetitions)} of a bench JSON."""
+    return {bench["run_name"]: (bench.get("cpu_time"), bench["repetitions"])
+            for bench in benchmarks
+            if bench.get("aggregate_name") == "median"}
+
+
 def load(path, label):
-    """Returns ({name: bench}, limb-kernel stamp) of a Release bench JSON."""
+    """Returns ({name: (median cpu_time, repetitions)}, limb-kernel stamp)
+    of a Release bench JSON."""
     with open(path) as f:
         data = json.load(f)
     require_release_build(data, label)
     kernel = data.get("context", {}).get("psi_limb_kernel")
-    return {bench["name"]: bench for bench in data.get("benchmarks", [])}, kernel
+    return medians(data.get("benchmarks", [])), kernel
 
 
-def cpu_time(benches, name):
+def cpu_time(benches, name, label):
     if name not in benches:
-        raise SystemExit(f"FAIL: benchmark '{name}' missing from results")
-    value = benches[name].get("cpu_time")
+        raise SystemExit(
+            f"FAIL: benchmark '{name}' has no median aggregate in {label}; "
+            "record with --benchmark_repetitions=5")
+    value, repetitions = benches[name]
     if value is None or value <= 0:
-        raise SystemExit(f"FAIL: benchmark '{name}' has no positive cpu_time")
+        raise SystemExit(f"FAIL: benchmark '{name}' has no positive cpu_time "
+                         f"in {label}")
+    if repetitions < MIN_REPETITIONS:
+        raise SystemExit(
+            f"FAIL: benchmark '{name}' has {repetitions} repetition(s) in "
+            f"{label}; the gate compares medians of at least "
+            f"{MIN_REPETITIONS} (--benchmark_repetitions)")
     return float(value)
 
 
-def speedup(benches, engine_name, heap_name):
-    """Slow-twin time / fast time from the same run."""
-    return cpu_time(benches, heap_name) / cpu_time(benches, engine_name)
+def speedup(benches, engine_name, heap_name, label):
+    """Slow-twin median time / fast median time from the same file."""
+    return (cpu_time(benches, heap_name, label) /
+            cpu_time(benches, engine_name, label))
 
 
 def main():
@@ -116,7 +142,7 @@ def main():
 
     failures = []
     for (engine_name, heap_name), vs_baseline in gated:
-        fresh_ratio = speedup(fresh, engine_name, heap_name)
+        fresh_ratio = speedup(fresh, engine_name, heap_name, args.run)
         line = f"{engine_name}: {fresh_ratio:.2f}x over {heap_name}"
         if fresh_ratio < MIN_SPEEDUP:
             failures.append(
@@ -124,7 +150,8 @@ def main():
                 f"{MIN_SPEEDUP}x"
             )
         if vs_baseline:
-            base_ratio = speedup(baseline, engine_name, heap_name)
+            base_ratio = speedup(baseline, engine_name, heap_name,
+                                 args.baseline)
             floor = base_ratio * (1.0 - MAX_REGRESSION)
             line += (f" (baseline {base_ratio:.2f}x, regression floor "
                      f"{floor:.2f}x)")
@@ -141,7 +168,8 @@ def main():
     for engine_name, heap_name in reported:
         if engine_name in fresh and heap_name in fresh:
             print(
-                f"{engine_name}: {speedup(fresh, engine_name, heap_name):.2f}x "
+                f"{engine_name}: "
+                f"{speedup(fresh, engine_name, heap_name, args.run):.2f}x "
                 f"over {heap_name} (reported, not gated)"
             )
 
