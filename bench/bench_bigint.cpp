@@ -1,7 +1,7 @@
 // Fixed-width limb engine benches: every pair BM_Foo / BM_FooHeap measures
 // the same operation with the engine attached vs forced onto the heap
 // BigUInt path (ScopedHeapOnlyModPow / EngineMode::kHeapOnly) in the same
-// run, so tools/check_bench_bigint.py can gate on machine-independent
+// run, so `tools/check_bench.py bigint` can gate on machine-independent
 // same-run ratios. BM_RsaDecryptBatch / BM_RsaDecryptLoop pair the batched
 // RSA-CRT path with per-ciphertext calls the same way. BENCH_bigint.json is
 // the committed baseline.

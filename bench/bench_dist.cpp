@@ -2,7 +2,7 @@
 // costs over hairpin execution, and what a mid-session daemon loss costs.
 //
 // Prints one JSON document (google-benchmark layout, so
-// tools/check_bench_dist.py can index the rows by name):
+// `tools/check_bench.py dist` can index the rows by name):
 //
 //   dist/local_session   — Protocol 6 as a checkpointed session on the
 //                          in-process simulator: the metering control.
@@ -28,7 +28,6 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -37,6 +36,7 @@
 
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
+#include "bench_main.h"
 #include "graph/generators.h"
 #include "mpc/propagation_protocol.h"
 #include "mpc/remote_exec.h"
@@ -208,10 +208,6 @@ bool SameTranscript(const TrafficReport& a, const TrafficReport& b) {
          a.num_payload_bytes == b.num_payload_bytes;
 }
 
-void PrintCounter(const char* key, uint64_t value) {
-  std::printf("      \"%s\": %" PRIu64 ",\n", key, value);
-}
-
 int Run() {
   const World w = MakeWorld();
 
@@ -311,95 +307,59 @@ int Run() {
   }
 
   // --- Report. ------------------------------------------------------------
-  std::printf(
-      "{\n"
-      "  \"context\": {\n"
-#ifdef NDEBUG
-      "    \"psi_build_type\": \"release\",\n"
-#else
-      "    \"psi_build_type\": \"debug\",\n"
-#endif
-      "    \"bench\": \"bench_dist\",\n"
-      "    \"providers\": %zu,\n"
-      "    \"users\": %zu,\n"
-      "    \"actions\": %zu,\n"
-      "    \"world_seed\": %" PRIu64 "\n"
-      "  },\n"
-      "  \"benchmarks\": [\n",
-      kProviders, kUsers, kActions, kWorldSeed);
+  JsonReport report("bench_dist");
+  report.context().Count("providers", kProviders);
+  report.context().Count("users", kUsers);
+  report.context().Count("actions", kActions);
+  report.context().Count("world_seed", kWorldSeed);
 
-  std::printf(
-      "    {\n"
-      "      \"name\": \"dist/local_session\",\n"
-      "      \"run_type\": \"counters\",\n"
-      "      \"real_time_ns\": %.0f,\n"
-      "      \"ok\": 1,\n",
-      local.real_time_ns);
-  PrintCounter("wire_messages", local.traffic.num_messages);
-  PrintCounter("wire_bytes", local.traffic.num_bytes);
-  PrintCounter("wire_payload_bytes", local.traffic.num_payload_bytes);
-  PrintCounter("crypto_ops_total", local.stats.crypto_ops_total);
-  std::printf("      \"stages_run\": %" PRIu64 "\n    },\n",
-              local.stats.stages_run);
+  JsonFields& local_row = report.AddRow("dist/local_session", local.real_time_ns);
+  local_row.Count("ok", 1);
+  local_row.Count("wire_messages", local.traffic.num_messages);
+  local_row.Count("wire_bytes", local.traffic.num_bytes);
+  local_row.Count("wire_payload_bytes", local.traffic.num_payload_bytes);
+  local_row.Count("crypto_ops_total", local.stats.crypto_ops_total);
+  local_row.Count("stages_run", local.stats.stages_run);
 
-  std::printf(
-      "    {\n"
-      "      \"name\": \"dist/hairpin_session\",\n"
-      "      \"run_type\": \"counters\",\n"
-      "      \"real_time_ns\": %.0f,\n"
-      "      \"ok\": 1,\n",
-      hairpin.real_time_ns);
-  PrintCounter("outputs_match", hairpin.arcs == local.arcs ? 1 : 0);
-  PrintCounter("metering_matches_simulator",
-               SameTranscript(hairpin.traffic, local.traffic) ? 1 : 0);
-  PrintCounter("wire_messages", hairpin.traffic.num_messages);
-  PrintCounter("wire_bytes", hairpin.traffic.num_bytes);
-  PrintCounter("frames_relayed", hairpin_transport.frames_relayed);
-  std::printf("      \"exec_calls\": %" PRIu64 "\n    },\n",
-              hairpin_transport.exec_calls);
+  JsonFields& hairpin_row = report.AddRow("dist/hairpin_session", hairpin.real_time_ns);
+  hairpin_row.Count("ok", 1);
+  hairpin_row.Count("outputs_match", hairpin.arcs == local.arcs ? 1 : 0);
+  hairpin_row.Count("metering_matches_simulator",
+                    SameTranscript(hairpin.traffic, local.traffic) ? 1 : 0);
+  hairpin_row.Count("wire_messages", hairpin.traffic.num_messages);
+  hairpin_row.Count("wire_bytes", hairpin.traffic.num_bytes);
+  hairpin_row.Count("frames_relayed", hairpin_transport.frames_relayed);
+  hairpin_row.Count("exec_calls", hairpin_transport.exec_calls);
 
-  std::printf(
-      "    {\n"
-      "      \"name\": \"dist/remote_session\",\n"
-      "      \"run_type\": \"counters\",\n"
-      "      \"real_time_ns\": %.0f,\n"
-      "      \"ok\": 1,\n",
-      remote.real_time_ns);
-  PrintCounter("outputs_match", remote.arcs == local.arcs ? 1 : 0);
-  PrintCounter("metering_matches_simulator",
-               SameTranscript(remote.traffic, local.traffic) ? 1 : 0);
-  PrintCounter("wire_messages", remote.traffic.num_messages);
-  PrintCounter("wire_bytes", remote.traffic.num_bytes);
-  PrintCounter("remote_stages", remote_exec.remote_stages);
-  PrintCounter("degraded_to_local", remote_exec.degraded_to_local);
-  PrintCounter("timeouts", remote_exec.timeouts);
-  PrintCounter("remote_crypto_ops", remote_exec.remote_crypto_ops);
-  PrintCounter("daemon_crypto_ops", daemon_exec.crypto_ops);
-  PrintCounter("exec_calls", remote_transport.exec_calls);
-  PrintCounter("exec_bytes_tx", remote_transport.exec_bytes_tx);
-  std::printf("      \"exec_bytes_rx\": %" PRIu64 "\n    },\n",
-              remote_transport.exec_bytes_rx);
+  JsonFields& remote_row = report.AddRow("dist/remote_session", remote.real_time_ns);
+  remote_row.Count("ok", 1);
+  remote_row.Count("outputs_match", remote.arcs == local.arcs ? 1 : 0);
+  remote_row.Count("metering_matches_simulator",
+                   SameTranscript(remote.traffic, local.traffic) ? 1 : 0);
+  remote_row.Count("wire_messages", remote.traffic.num_messages);
+  remote_row.Count("wire_bytes", remote.traffic.num_bytes);
+  remote_row.Count("remote_stages", remote_exec.remote_stages);
+  remote_row.Count("degraded_to_local", remote_exec.degraded_to_local);
+  remote_row.Count("timeouts", remote_exec.timeouts);
+  remote_row.Count("remote_crypto_ops", remote_exec.remote_crypto_ops);
+  remote_row.Count("daemon_crypto_ops", daemon_exec.crypto_ops);
+  remote_row.Count("exec_calls", remote_transport.exec_calls);
+  remote_row.Count("exec_bytes_tx", remote_transport.exec_bytes_tx);
+  remote_row.Count("exec_bytes_rx", remote_transport.exec_bytes_rx);
 
-  std::printf(
-      "    {\n"
-      "      \"name\": \"dist/remote_resume\",\n"
-      "      \"run_type\": \"counters\",\n"
-      "      \"real_time_ns\": %.0f,\n"
-      "      \"ok\": 1,\n",
-      resumed.real_time_ns);
-  PrintCounter("outputs_match", resumed.arcs == local.arcs ? 1 : 0);
-  PrintCounter("resumes", resumed.stats.resumes);
-  PrintCounter("handshake_messages", resumed.stats.handshake_messages);
-  PrintCounter("model_handshake_messages", resume_model.ValueOrDie().nm);
-  PrintCounter("model_handshake_rounds", resume_model.ValueOrDie().nr);
-  PrintCounter("crypto_ops_recomputed", resumed.stats.crypto_ops_recomputed);
-  PrintCounter("crypto_ops_saved", resumed.stats.crypto_ops_saved);
-  PrintCounter("remote_stages", resume_exec.remote_stages);
-  PrintCounter("dead_peers_detected", resume_transport.dead_peers_detected);
-  std::printf("      \"reconnects\": %" PRIu64 "\n    }\n",
-              resume_transport.reconnects);
-
-  std::printf("  ]\n}\n");
+  JsonFields& resume_row = report.AddRow("dist/remote_resume", resumed.real_time_ns);
+  resume_row.Count("ok", 1);
+  resume_row.Count("outputs_match", resumed.arcs == local.arcs ? 1 : 0);
+  resume_row.Count("resumes", resumed.stats.resumes);
+  resume_row.Count("handshake_messages", resumed.stats.handshake_messages);
+  resume_row.Count("model_handshake_messages", resume_model.ValueOrDie().nm);
+  resume_row.Count("model_handshake_rounds", resume_model.ValueOrDie().nr);
+  resume_row.Count("crypto_ops_recomputed", resumed.stats.crypto_ops_recomputed);
+  resume_row.Count("crypto_ops_saved", resumed.stats.crypto_ops_saved);
+  resume_row.Count("remote_stages", resume_exec.remote_stages);
+  resume_row.Count("dead_peers_detected", resume_transport.dead_peers_detected);
+  resume_row.Count("reconnects", resume_transport.reconnects);
+  report.Print();
   return 0;
 }
 

@@ -1,7 +1,7 @@
 // Recovery bench: what checkpointed sessions buy under a crash-restart.
 //
 // Runs Protocol 4 three ways on the same world and prints one JSON document
-// (google-benchmark layout, so tools/check_bench_recovery.py can index the
+// (google-benchmark layout, so `tools/check_bench.py recovery` can index the
 // rows by name):
 //
 //   recovery/no_fault      — session layer on a clean network: the control.
@@ -28,6 +28,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench_main.h"
 #include "bench_util.h"
 #include "influence/link_influence.h"
 #include "mpc/link_influence_protocol.h"
@@ -98,40 +99,27 @@ bool SameInfluence(const Result<LinkInfluence>& got,
   return true;
 }
 
-void PrintScenario(const char* name, const RunOutcome& r, bool matches,
-                   bool* first) {
-  if (!*first) std::printf(",\n");
-  *first = false;
+void AddScenario(JsonReport* report, const char* name, const RunOutcome& r,
+                 bool matches) {
   const SessionStats& s = r.stats;
-  std::printf(
-      "    {\n"
-      "      \"name\": \"%s\",\n"
-      "      \"run_type\": \"counters\",\n"
-      "      \"real_time_ns\": %.0f,\n"
-      "      \"ok\": %d,\n"
-      "      \"result_matches_fault_free\": %d,\n"
-      "      \"attempts\": %" PRIu32 ",\n"
-      "      \"resumes\": %" PRIu32 ",\n"
-      "      \"stages_run\": %" PRIu64 ",\n"
-      "      \"stages_resumed\": %" PRIu64 ",\n"
-      "      \"checkpoints_written\": %" PRIu64 ",\n"
-      "      \"checkpoint_bytes\": %" PRIu64 ",\n"
-      "      \"backoff_rounds\": %" PRIu64 ",\n"
-      "      \"handshake_messages\": %" PRIu64 ",\n"
-      "      \"handshake_bytes\": %" PRIu64 ",\n"
-      "      \"crypto_ops_total\": %" PRIu64 ",\n"
-      "      \"crypto_ops_saved\": %" PRIu64 ",\n"
-      "      \"crypto_ops_recomputed\": %" PRIu64 ",\n"
-      "      \"wire_messages\": %" PRIu64 ",\n"
-      "      \"wire_bytes\": %" PRIu64 ",\n"
-      "      \"wire_payload_bytes\": %" PRIu64 "\n"
-      "    }",
-      name, r.real_time_ns, r.result.ok() ? 1 : 0, matches ? 1 : 0,
-      s.attempts, s.resumes, s.stages_run, s.stages_resumed,
-      s.checkpoints_written, s.checkpoint_bytes, s.backoff_rounds,
-      s.handshake_messages, s.handshake_bytes, s.crypto_ops_total,
-      s.crypto_ops_saved, s.crypto_ops_recomputed, r.traffic.num_messages,
-      r.traffic.num_bytes, r.traffic.num_payload_bytes);
+  JsonFields& row = report->AddRow(name, r.real_time_ns);
+  row.Count("ok", r.result.ok() ? 1 : 0);
+  row.Count("result_matches_fault_free", matches ? 1 : 0);
+  row.Count("attempts", s.attempts);
+  row.Count("resumes", s.resumes);
+  row.Count("stages_run", s.stages_run);
+  row.Count("stages_resumed", s.stages_resumed);
+  row.Count("checkpoints_written", s.checkpoints_written);
+  row.Count("checkpoint_bytes", s.checkpoint_bytes);
+  row.Count("backoff_rounds", s.backoff_rounds);
+  row.Count("handshake_messages", s.handshake_messages);
+  row.Count("handshake_bytes", s.handshake_bytes);
+  row.Count("crypto_ops_total", s.crypto_ops_total);
+  row.Count("crypto_ops_saved", s.crypto_ops_saved);
+  row.Count("crypto_ops_recomputed", s.crypto_ops_recomputed);
+  row.Count("wire_messages", r.traffic.num_messages);
+  row.Count("wire_bytes", r.traffic.num_bytes);
+  row.Count("wire_payload_bytes", r.traffic.num_payload_bytes);
 }
 
 FaultPlan CrashOnlyPlan(PartyId party, uint64_t after_round,
@@ -194,35 +182,23 @@ int Run() {
   FaultyNetwork net(CrashOnlyPlan(/*party=*/1, crash_after, crash_after + 3));
   RunOutcome full = RunP4Session(w, &net, restart_policy);
 
-  std::printf(
-      "{\n"
-      "  \"context\": {\n"
-#ifdef NDEBUG
-      "    \"psi_build_type\": \"release\",\n"
-#else
-      "    \"psi_build_type\": \"debug\",\n"
-#endif
-      "    \"bench\": \"bench_recovery\",\n"
-      "    \"protocol\": \"link_influence (Protocol 4)\",\n"
-      "    \"providers\": %zu,\n"
-      "    \"users\": %zu,\n"
-      "    \"arcs\": %zu,\n"
-      "    \"actions\": %zu,\n"
-      "    \"paillier_bits\": 384,\n"
-      "    \"seed\": %" PRIu64 ",\n"
-      "    \"crash_party\": 1,\n"
-      "    \"crash_after_round\": %" PRIu64 ",\n"
-      "    \"crash_restart_round\": %" PRIu64 "\n"
-      "  },\n"
-      "  \"benchmarks\": [\n",
-      kProviders, kUsers, kArcs, kActions, seed, crash_after, crash_after + 3);
-  bool first = true;
-  PrintScenario("recovery/no_fault", control, /*matches=*/true, &first);
-  PrintScenario("recovery/stage_resume", resume,
-                SameInfluence(resume.result, truth), &first);
-  PrintScenario("recovery/full_restart", full,
-                SameInfluence(full.result, truth), &first);
-  std::printf("\n  ]\n}\n");
+  JsonReport report("bench_recovery");
+  JsonFields& context = report.context();
+  context.Text("protocol", "link_influence (Protocol 4)");
+  context.Count("providers", kProviders);
+  context.Count("users", kUsers);
+  context.Count("arcs", kArcs);
+  context.Count("actions", kActions);
+  context.Count("paillier_bits", 384);
+  context.Count("seed", seed);
+  context.Count("crash_party", 1);
+  context.Count("crash_after_round", crash_after);
+  context.Count("crash_restart_round", crash_after + 3);
+  AddScenario(&report, "recovery/no_fault", control, /*matches=*/true);
+  AddScenario(&report, "recovery/stage_resume", resume,
+              SameInfluence(resume.result, truth));
+  AddScenario(&report, "recovery/full_restart", full, SameInfluence(full.result, truth));
+  report.Print();
   return 0;
 }
 

@@ -2,7 +2,7 @@
 // simulator, and what a dead-daemon recovery costs end to end.
 //
 // Prints one JSON document (google-benchmark layout, so
-// tools/check_bench_transport.py can index the rows by name):
+// `tools/check_bench.py transport` can index the rows by name):
 //
 //   transport/simulator_roundtrip — K framed ping-pong round trips on the
 //                                   in-process simulator: the latency and
@@ -25,13 +25,13 @@
 // loopback scheduling is not reproducible across machines.
 
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_main.h"
 #include "net/cost_model.h"
 #include "net/daemon.h"
 #include "net/network.h"
@@ -136,10 +136,6 @@ RoundTripOutcome PingPong(Network* net, PartyId h, PartyId p1) {
   return out;
 }
 
-void PrintCounter(const char* key, uint64_t value) {
-  std::printf("      \"%s\": %" PRIu64 ",\n", key, value);
-}
-
 int Run() {
   // --- Control: the in-process simulator. ---------------------------------
   Network sim;
@@ -229,70 +225,41 @@ int Run() {
   const PsidStats second_daemon = restarted.StopAndJoin();
 
   // --- Report. ------------------------------------------------------------
-  std::printf(
-      "{\n"
-      "  \"context\": {\n"
-#ifdef NDEBUG
-      "    \"psi_build_type\": \"release\",\n"
-#else
-      "    \"psi_build_type\": \"debug\",\n"
-#endif
-      "    \"bench\": \"bench_transport\",\n"
-      "    \"round_trips\": %zu,\n"
-      "    \"payload_bytes\": %zu,\n"
-      "    \"transport_seed\": 31\n"
-      "  },\n"
-      "  \"benchmarks\": [\n",
-      kRoundTrips, kPayloadBytes);
+  JsonReport report("bench_transport");
+  report.context().Count("round_trips", kRoundTrips);
+  report.context().Count("payload_bytes", kPayloadBytes);
+  report.context().Count("transport_seed", 31);
 
-  std::printf(
-      "    {\n"
-      "      \"name\": \"transport/simulator_roundtrip\",\n"
-      "      \"run_type\": \"counters\",\n"
-      "      \"real_time_ns\": %.0f,\n"
-      "      \"roundtrip_ns\": %.0f,\n"
-      "      \"ok\": 1,\n",
-      control.real_time_ns, control.real_time_ns / kRoundTrips);
-  PrintCounter("wire_messages", control.traffic.num_messages);
-  PrintCounter("wire_bytes", control.traffic.num_bytes);
-  std::printf("      \"wire_payload_bytes\": %" PRIu64 "\n    },\n",
-              control.traffic.num_payload_bytes);
+  JsonFields& sim_row =
+      report.AddRow("transport/simulator_roundtrip", control.real_time_ns);
+  sim_row.Nanos("roundtrip_ns", control.real_time_ns / kRoundTrips);
+  sim_row.Count("ok", 1);
+  sim_row.Count("wire_messages", control.traffic.num_messages);
+  sim_row.Count("wire_bytes", control.traffic.num_bytes);
+  sim_row.Count("wire_payload_bytes", control.traffic.num_payload_bytes);
 
-  std::printf(
-      "    {\n"
-      "      \"name\": \"transport/socket_roundtrip\",\n"
-      "      \"run_type\": \"counters\",\n"
-      "      \"real_time_ns\": %.0f,\n"
-      "      \"roundtrip_ns\": %.0f,\n"
-      "      \"ok\": 1,\n",
-      socket_run.real_time_ns, socket_run.real_time_ns / kRoundTrips);
-  PrintCounter("metering_matches_simulator", metering_matches ? 1 : 0);
-  PrintCounter("wire_messages", socket_run.traffic.num_messages);
-  PrintCounter("wire_bytes", socket_run.traffic.num_bytes);
-  PrintCounter("wire_payload_bytes", socket_run.traffic.num_payload_bytes);
-  PrintCounter("frames_relayed", after_pingpong.frames_relayed);
-  PrintCounter("frames_echoed", after_pingpong.frames_echoed);
-  PrintCounter("frames_hairpinned", first_daemon.frames_hairpinned);
-  PrintCounter("relay_overhead_bytes",
-               overhead.ValueOrDie().relay_overhead_bytes);
-  std::printf("      \"daemon_protocol_violations\": %" PRIu64 "\n    },\n",
-              first_daemon.protocol_violations);
+  JsonFields& sock_row =
+      report.AddRow("transport/socket_roundtrip", socket_run.real_time_ns);
+  sock_row.Nanos("roundtrip_ns", socket_run.real_time_ns / kRoundTrips);
+  sock_row.Count("ok", 1);
+  sock_row.Count("metering_matches_simulator", metering_matches ? 1 : 0);
+  sock_row.Count("wire_messages", socket_run.traffic.num_messages);
+  sock_row.Count("wire_bytes", socket_run.traffic.num_bytes);
+  sock_row.Count("wire_payload_bytes", socket_run.traffic.num_payload_bytes);
+  sock_row.Count("frames_relayed", after_pingpong.frames_relayed);
+  sock_row.Count("frames_echoed", after_pingpong.frames_echoed);
+  sock_row.Count("frames_hairpinned", first_daemon.frames_hairpinned);
+  sock_row.Count("relay_overhead_bytes", overhead.ValueOrDie().relay_overhead_bytes);
+  sock_row.Count("daemon_protocol_violations", first_daemon.protocol_violations);
 
-  std::printf(
-      "    {\n"
-      "      \"name\": \"transport/reconnect_resume\",\n"
-      "      \"run_type\": \"counters\",\n"
-      "      \"real_time_ns\": %.0f,\n"
-      "      \"ok\": 1,\n",
-      reconnect_ns);
-  PrintCounter("reconnects", final_stats.reconnects);
-  PrintCounter("reconnect_attempts", final_stats.reconnect_attempts);
-  PrintCounter("backoff_sleep_ms", final_stats.backoff_sleep_ms);
-  PrintCounter("dead_peers_detected", final_stats.dead_peers_detected);
-  std::printf("      \"resumed_hellos\": %" PRIu64 "\n    }\n",
-              second_daemon.resumed_hellos);
-
-  std::printf("  ]\n}\n");
+  JsonFields& reconnect_row = report.AddRow("transport/reconnect_resume", reconnect_ns);
+  reconnect_row.Count("ok", 1);
+  reconnect_row.Count("reconnects", final_stats.reconnects);
+  reconnect_row.Count("reconnect_attempts", final_stats.reconnect_attempts);
+  reconnect_row.Count("backoff_sleep_ms", final_stats.backoff_sleep_ms);
+  reconnect_row.Count("dead_peers_detected", final_stats.dead_peers_detected);
+  reconnect_row.Count("resumed_hellos", second_daemon.resumed_hellos);
+  report.Print();
   return 0;
 }
 

@@ -1,6 +1,7 @@
 #include "bigint/modular.h"
 
 #include <algorithm>
+#include <bit>
 #include <utility>
 #include <vector>
 
@@ -54,6 +55,13 @@ const MontgomeryContext* ModPowContext(const BigUInt& exp, const BigUInt& m) {
     return CachedMontgomeryContext(m);
   }
   return nullptr;
+}
+
+// Number of trailing zero bits of a nonzero value.
+size_t TrailingZeros(const BigUInt& v) {
+  size_t i = 0;
+  while (v.limb(i) == 0) ++i;
+  return i * 64 + static_cast<size_t>(std::countr_zero(v.limb(i)));
 }
 
 }  // namespace
@@ -115,11 +123,30 @@ std::vector<BigUInt> ModPowBatch(std::span<const BigUInt> bases,
 }
 
 BigUInt Gcd(BigUInt a, BigUInt b) {
-  while (!b.IsZero()) {
-    BigUInt r = a % b;
-    a = std::move(b);
-    b = std::move(r);
+  // Operands of different limb counts (RSA keygen's Gcd(65537, phi)) first
+  // take one division, so the short one bounds the binary loop below.
+  if (!a.IsZero() && !b.IsZero() && a.num_limbs() != b.num_limbs()) {
+    if (a.num_limbs() > b.num_limbs()) {
+      a = a % b;
+    } else {
+      b = b % a;
+    }
   }
+  if (a.IsZero()) return b;
+  if (b.IsZero()) return a;
+  // Stein's binary gcd with BigUInt's in-place operators: each step is one
+  // subtraction and one shift, with no allocation.
+  const size_t twos = std::min(TrailingZeros(a), TrailingZeros(b));
+  a >>= TrailingZeros(a);
+  b >>= TrailingZeros(b);
+  while (true) {
+    // Both odd: gcd(a, b) == gcd(a, b - a) for a <= b.
+    if (b < a) std::swap(a, b);
+    b -= a;
+    if (b.IsZero()) break;
+    b >>= TrailingZeros(b);
+  }
+  a <<= twos;
   return a;
 }
 

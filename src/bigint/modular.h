@@ -49,7 +49,7 @@ class ScopedHeapOnlyModPow {
   bool prev_;
 };
 
-/// \brief Greatest common divisor (binary-free classic Euclid).
+/// \brief Greatest common divisor (binary gcd after at most one division).
 BigUInt Gcd(BigUInt a, BigUInt b);
 
 /// \brief Least common multiple; 0 if either argument is 0.

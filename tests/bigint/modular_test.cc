@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace psi {
 namespace {
 
@@ -71,6 +74,46 @@ TEST(ModularTest, GcdDividesBoth) {
     if (g.IsZero()) continue;
     EXPECT_TRUE((a % g).IsZero());
     EXPECT_TRUE((b % g).IsZero());
+  }
+}
+
+// The classic Euclid loop Gcd used before the binary gcd: the reference.
+BigUInt EuclidGcd(BigUInt a, BigUInt b) {
+  while (!b.IsZero()) {
+    BigUInt r = a % b;
+    a = std::move(b);
+    b = std::move(r);
+  }
+  return a;
+}
+
+TEST(ModularTest, GcdMatchesEuclidReference) {
+  Rng rng(37);
+  std::vector<std::pair<BigUInt, BigUInt>> cases;
+  for (size_t bits : {0U, 1U, 2U, 63U, 64U, 65U, 127U, 128U, 512U, 1000U, 1024U, 2048U}) {
+    for (size_t i = 0; i < 8; ++i) {
+      BigUInt a = BigUInt::RandomBits(&rng, bits);
+      BigUInt b = BigUInt::RandomBits(&rng, (bits * (i + 1)) / 8);
+      cases.emplace_back(a, b);
+      cases.emplace_back(b, a);
+      cases.emplace_back(a, a);
+      cases.emplace_back(a, BigUInt());
+      // Shared factors of two and a shared odd factor.
+      BigUInt c = BigUInt::RandomBits(&rng, 100) + BigUInt(1);
+      cases.emplace_back((a << 7) * c, (b << 3) * c);
+    }
+    cases.emplace_back(BigUInt::PowerOfTwo(bits), BigUInt::PowerOfTwo(bits / 2));
+    cases.emplace_back(BigUInt::PowerOfTwo(bits), BigUInt::PowerOfTwo(bits) + BigUInt(1));
+  }
+  // RSA keygen's shape: a small public exponent against a 1024-bit phi.
+  for (int i = 0; i < 16; ++i) {
+    BigUInt phi = BigUInt::RandomBits(&rng, 1024);
+    cases.emplace_back(BigUInt(65537), phi);
+    cases.emplace_back(BigUInt(65537), phi * BigUInt(65537));
+  }
+  for (const auto& [a, b] : cases) {
+    EXPECT_EQ(Gcd(a, b), EuclidGcd(a, b))
+        << "a=" << a.ToHexString() << " b=" << b.ToHexString();
   }
 }
 
