@@ -56,7 +56,7 @@ void Run() {
     const auto& v = proto.views();
     size_t leaks = 0;
     for (size_t t = 0; t < kCounters; ++t) {
-      BigUInt y = v.third_party_s1[t] + v.third_party_masked_s2[t];
+      BigUInt y = v.third_party_s1.Value(t) + v.third_party_masked_s2.Value(t);
       BigUInt z = (y >= BigUInt(kSVal)) ? y - BigUInt(kSVal) : y;
       LeakKind kind = ClassifyP3Observation(z, BigUInt(kBound), BigUInt(kSVal));
       if (kind != LeakKind::kNothing) ++leaks;
@@ -65,7 +65,7 @@ void Run() {
     for (size_t t = 0; t < kCounters; ++t) {
       // Compare the transmitted slot content against the counter that the
       // protocol specification places there without a permutation.
-      if (v.third_party_s1[t] == v.player_share_vectors[0][t]) {
+      if (v.third_party_s1.Value(t) == v.player_share_vectors[0].Value(t)) {
         ++positionally_aligned;
       }
     }

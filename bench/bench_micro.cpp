@@ -321,7 +321,11 @@ BENCHMARK(BM_FixedBaseTablePow)->Arg(512)->Arg(1024);
 
 // ------------------------------------------------------------- protocols --
 
-void BM_Protocol2Batch(benchmark::State& state) {
+// Batched Protocol 2 at m = 3. `s128` rows: A = 2^20 and S = 2^128, shares
+// of two limbs. `p4_paper`: Protocol 4's shape at Table 1's configuration,
+// n + |E'| = 2200 counters, A = 100 and S = RecommendedModulus(100, 2200,
+// 2^-40) = 2^59, shares of one limb.
+void BM_Protocol2Batch(benchmark::State& state, bool p4_paper) {
   const auto counters = static_cast<size_t>(state.range(0));
   Network net;
   net.RegisterParty("H");
@@ -331,8 +335,10 @@ void BM_Protocol2Batch(benchmark::State& state) {
   Rng r1(1), r2(2), r3(3), secret(4);
   std::vector<Rng*> rngs{&r1, &r2, &r3};
   SecureSumConfig cfg;
-  cfg.input_bound_a = BigUInt(1u << 20);
-  cfg.modulus_s = BigUInt::PowerOfTwo(128);
+  cfg.input_bound_a = BigUInt(p4_paper ? 100u : 1u << 20);
+  cfg.modulus_s = p4_paper
+                      ? RecommendedModulus(cfg.input_bound_a, counters, 40)
+                      : BigUInt::PowerOfTwo(128);
   std::vector<std::vector<uint64_t>> inputs(3,
                                             std::vector<uint64_t>(counters, 7));
   for (auto _ : state) {
@@ -341,8 +347,14 @@ void BM_Protocol2Batch(benchmark::State& state) {
         proto.RunProtocol2(inputs, rngs, &secret, "bm.").ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["s_bits"] =
+      static_cast<double>(cfg.modulus_s.BitLength() - 1);
 }
-BENCHMARK(BM_Protocol2Batch)->Arg(100)->Arg(1000)->Arg(5000);
+BENCHMARK_CAPTURE(BM_Protocol2Batch, s128, false)
+    ->Arg(100)
+    ->Arg(1000)
+    ->Arg(5000);
+BENCHMARK_CAPTURE(BM_Protocol2Batch, p4_paper, true)->Arg(2200);
 
 // Packed vs unpacked homomorphic sum at identical inputs: the two headline
 // numbers of the packing optimisation. `bits_per_counter` meters the full

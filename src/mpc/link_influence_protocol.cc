@@ -386,7 +386,7 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
           shares,
           secure_sum.RunProtocol2(inputs, provider_rngs, pair_secret_rng,
                                   "P4."));
-      views_.secure_sum = secure_sum.views();
+      views_.secure_sum = secure_sum.TakeViews();
     }
     session.PartyState(providers_[0])
         .Put(kKeyShare1, wire::PackBigUInts(shares.s1));

@@ -20,6 +20,7 @@
 #define PSI_MPC_SECURE_SUM_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bigint/biguint.h"
@@ -48,18 +49,22 @@ BigUInt RecommendedModulus(const BigUInt& bound_a, uint64_t num_counters,
 /// verify the Theorem 4.1 leakage characterization empirically.
 struct SecureSumViews {
   /// Values P3 received, in transmitted (permuted) order.
-  std::vector<BigUInt> third_party_s1;
-  std::vector<BigUInt> third_party_masked_s2;  ///< s2 + r per slot.
+  ShareVector third_party_s1;
+  ShareVector third_party_masked_s2;  ///< s2 + r per slot.
   /// Comparison answers y >= S per transmitted slot.
   std::vector<bool> comparison_bits;
   /// Correction flags per original counter (what P2 learned in step 6).
   std::vector<bool> p2_correction;
   /// Modular share vectors each player held after Protocol 1 (player-major).
-  std::vector<std::vector<BigUInt>> player_share_vectors;
+  std::vector<ShareVector> player_share_vectors;
 };
 
 /// \brief Orchestrates batched Protocol 1 / Protocol 2 over the simulated
 /// network. Player 0 acts as P1, player 1 as P2.
+///
+/// Every share vector is a `ShareVector` of W limbs per value, W the limb
+/// count of 3S - 1: wide enough for the third party's y = s1 + s2 + r < 3S,
+/// so one width-generic code path serves every S (W = 1 while 3S < 2^64).
 class SecureSumProtocol {
  public:
   /// \param players the m service providers, protocol order (P1, P2, ...).
@@ -83,10 +88,18 @@ class SecureSumProtocol {
       const std::string& label_prefix);
 
   const SecureSumViews& views() const { return views_; }
+  /// \brief Moves the recorded views out, for a caller that keeps them.
+  SecureSumViews TakeViews() { return std::move(views_); }
 
  private:
+  // P1's and P2's modular share vectors after Protocol 1.
+  struct FlatModularShares {
+    ShareVector s1;
+    ShareVector s2;
+  };
+
   // The protocol bodies; the public entries drain mailboxes on error.
-  [[nodiscard]] Result<BatchedModularShares> RunProtocol1Impl(
+  [[nodiscard]] Result<FlatModularShares> RunProtocol1Impl(
       const std::vector<std::vector<uint64_t>>& inputs,
       const std::vector<Rng*>& player_rngs, const std::string& label_prefix);
   [[nodiscard]] Result<BatchedIntegerShares> RunProtocol2Impl(
@@ -101,6 +114,8 @@ class SecureSumProtocol {
   std::vector<PartyId> players_;
   PartyId third_party_;
   SecureSumConfig config_;
+  size_t width_;                  // W: limbs per share value.
+  std::vector<uint64_t> s_limbs_;  // S in W limbs.
   SecureSumViews views_;
 };
 

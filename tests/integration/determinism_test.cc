@@ -15,12 +15,15 @@
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
 #include "bigint/modular.h"
+#include "common/serialize.h"
 #include "common/thread_pool.h"
+#include "crypto/sha256.h"
 #include "graph/generators.h"
 #include "influence/em_learner.h"
 #include "mpc/homomorphic_sum.h"
 #include "mpc/link_influence_protocol.h"
 #include "mpc/propagation_protocol.h"
+#include "mpc/secure_sum.h"
 #include "mpc/session.h"
 #include "net/fault.h"
 
@@ -336,6 +339,98 @@ TEST_F(DeterminismTest, ResumedSessionTranscriptInvariantUnderThreadCount) {
   for (size_t e = 0; e < a.p.size(); ++e) {
     ASSERT_EQ(a.p[e], b.p[e]) << "arc " << e;
   }
+}
+
+// SHA-256 over every sealed frame (sender, receiver, envelope bytes), the
+// metering report and a run's output bytes.
+std::string TranscriptDigest(
+    const std::vector<TranscriptNetwork::Frame>& frames,
+    const std::string& traffic, const std::vector<uint8_t>& output) {
+  BinaryWriter w;
+  for (const auto& frame : frames) {
+    w.WriteU32(frame.from);
+    w.WriteU32(frame.to);
+    w.WriteBytes(frame.bytes);
+  }
+  w.WriteString(traffic);
+  w.WriteBytes(output);
+  return DigestToHex(Sha256::Hash(w.TakeBuffer()));
+}
+
+// Golden transcripts. The digests were computed on the per-share BigUInt
+// secure sum that the differential test in tests/mpc/secure_sum_test.cc
+// keeps as its reference; they pin frames, metering and outputs byte for
+// byte.
+TEST_F(DeterminismTest, GoldenProtocol4SecureSumSessionTranscript) {
+  // Table 1's configuration: m=3, n=200, |E|=1000, c=2 (q=2000), h=4.
+  ThreadPool::Global().SetNumThreads(1);
+  Rng world_rng(2014);
+  auto graph = ErdosRenyiArcs(&world_rng, 200, 1000).ValueOrDie();
+  auto truth = GroundTruthInfluence::Random(&world_rng, graph, 0.05, 0.6);
+  CascadeParams params;
+  params.num_actions = 100;
+  params.seeds_per_action = 2;
+  auto log = GenerateCascades(&world_rng, graph, truth, params).ValueOrDie();
+  auto provider_logs = ExclusivePartition(&world_rng, log, 3).ValueOrDie();
+
+  TranscriptNetwork net;
+  PartyId host = net.RegisterParty("H");
+  std::vector<PartyId> providers{net.RegisterParty("P1"),
+                                 net.RegisterParty("P2"),
+                                 net.RegisterParty("P3")};
+  Protocol4Config cfg;
+  cfg.h = 4;
+  cfg.obfuscation_factor = 2.0;
+  cfg.aggregation = P4Aggregation::kSecureSum;
+  Rng r1(41), r2(42), r3(43), host_rng(44), pair_secret(45);
+  LinkInfluenceProtocol proto(&net, host, providers, cfg);
+  SessionStats stats;
+  auto out = proto.RunSession(graph, params.num_actions, provider_logs,
+                              &host_rng, {&r1, &r2, &r3}, &pair_secret,
+                              RetryPolicy{}, &stats)
+                 .ValueOrDie();
+  ASSERT_EQ(proto.views().omega.size(), 2000u);
+
+  BinaryWriter result;
+  for (size_t e = 0; e < out.pairs.size(); ++e) {
+    result.WriteU32(out.pairs[e].from);
+    result.WriteU32(out.pairs[e].to);
+    result.WriteDouble(out.p[e]);
+  }
+  EXPECT_EQ(TranscriptDigest(net.frames(), net.Report().ToString(),
+                             result.TakeBuffer()),
+            "3714b4e87fec61b08c1a636b69e3f220a6f6ae0d1777de02f843403242fc9b40");
+}
+
+TEST_F(DeterminismTest, GoldenProtocol2MultiLimbTranscript) {
+  // S = 2^128: two-limb shares, and a three-limb y at the third party.
+  TranscriptNetwork net;
+  PartyId host = net.RegisterParty("H");
+  std::vector<PartyId> players{net.RegisterParty("P1"),
+                               net.RegisterParty("P2"),
+                               net.RegisterParty("P3")};
+  SecureSumConfig cfg;
+  cfg.input_bound_a = BigUInt(1u << 20);
+  cfg.modulus_s = BigUInt::PowerOfTwo(128);
+  Rng input_rng(7);
+  std::vector<std::vector<uint64_t>> inputs(3, std::vector<uint64_t>(300));
+  for (auto& v : inputs) {
+    for (auto& x : v) x = input_rng.UniformU64((1u << 20) / 3);
+  }
+  Rng r1(51), r2(52), r3(53), pair_secret(54);
+  SecureSumProtocol proto(&net, players, host, cfg);
+  auto shares =
+      proto.RunProtocol2(inputs, {&r1, &r2, &r3}, &pair_secret, "golden.")
+          .ValueOrDie();
+
+  BinaryWriter result;
+  for (size_t c = 0; c < shares.size(); ++c) {
+    WriteBigUInt(&result, shares.s1[c]);
+    WriteBigInt(&result, shares.s2[c]);
+  }
+  EXPECT_EQ(TranscriptDigest(net.frames(), net.Report().ToString(),
+                             result.TakeBuffer()),
+            "bbf3730954d893ac43a10e43d196cf8e2364f95147ccf4b2b19afa0ccd5f542a");
 }
 
 TEST_F(DeterminismTest, EmLearnerBitIdenticalAcrossThreadCounts) {

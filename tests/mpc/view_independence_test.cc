@@ -32,7 +32,8 @@ std::vector<uint64_t> ObserveShareHistogram(
     SecureSumProtocol proto(&net, players, host, cfg);
     auto shares = proto.RunProtocol1(inputs, rngs, "vi.").ValueOrDie();
     uint64_t observed = proto.views()
-                            .player_share_vectors[observer][0]
+                            .player_share_vectors[observer]
+                            .Value(0)
                             .ToUint64()
                             .ValueOrDie();
     ++histogram[observed * buckets / s_val];

@@ -189,6 +189,12 @@ RECOVERY = dict(metrics=[
     counter(FULL, "crypto_ops_saved", ("==", 0)),
     counter(FULL, "crypto_ops_recomputed", (">=", 1),
             ("==", f"{RESUME}.crypto_ops_saved")),
+    # Each row's stage and checkpoint counts are exact for the seed, and its
+    # checkpoints may not grow.
+    *[counter(row, key, base=UNCHANGED) for row in (NO_FAULT, RESUME, FULL)
+      for key in ("stages_run", "checkpoints_written")],
+    *[counter(row, "checkpoint_bytes", base=NO_GROWTH)
+      for row in (NO_FAULT, RESUME, FULL)],
 ])
 
 # --- transport: socket backend against the simulator ---------------------

@@ -52,8 +52,10 @@ CRT, POW = "BM_PaillierDecryptCrt/1024", "BM_MontgomeryPow/1024"
 RSA512, RSA1024 = "BM_RsaDecryptBatch/512", "BM_RsaDecryptBatch/1024"
 
 # (bench, edited file, row name or None for the context, key, edit,
-#  the check the gate must name). Every case here also fails the five
-# per-bench scripts this gate replaced.
+#  the check the gate must name). Every case here but the recovery
+# session-shape ones (stages_run, checkpoints_written, checkpoint_bytes),
+# which those scripts never gated, also fails the five per-bench scripts
+# this gate replaced.
 MUTATIONS = [
     ("packing", R, None, "psi_build_type", set_to("debug"),
      "psi_build_type='debug'"),
@@ -113,6 +115,14 @@ MUTATIONS = [
      f"{RESUME}.handshake_bytes <= baseline x 1.25"),
     ("recovery", R, RESUME, "crypto_ops_total", times(2),
      "resume saved-crypto fraction >= baseline x 0.75"),
+    # Session shape: stage and checkpoint counts exact, no checkpoint growth.
+    *[("recovery", R, row, key, edit, f"{row}.{key} == baseline")
+      for row in (NO_FAULT, RESUME, FULL)
+      for key in ("stages_run", "checkpoints_written")
+      for edit in (times(2), set_to(1))],
+    *[("recovery", R, row, "checkpoint_bytes", times(1.01),
+       f"{row}.checkpoint_bytes <= baseline")
+      for row in (NO_FAULT, RESUME, FULL)],
 
     ("transport", R, None, "psi_build_type", set_to("debug"),
      "psi_build_type='debug'"),
