@@ -133,7 +133,9 @@ BigUInt BigUInt::RandomBits(Rng* rng, size_t bits) {
 
 BigUInt BigUInt::RandomBelow(Rng* rng, const BigUInt& bound) {
   PSI_CHECK(!bound.IsZero()) << "RandomBelow requires a positive bound";
-  size_t bits = bound.BitLength();
+  // Candidates as wide as the largest value, bound - 1: a power-of-two
+  // bound then never redraws.
+  size_t bits = (bound - BigUInt(1)).BitLength();
   for (;;) {
     BigUInt candidate = RandomBits(rng, bits);
     if (candidate < bound) return candidate;

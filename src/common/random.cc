@@ -126,46 +126,6 @@ bool Rng::Bernoulli(double p) { return UniformReal() < p; }
 
 double Rng::SampleZ() { return 1.0 / (1.0 - UniformRealOpen()); }
 
-std::vector<uint8_t> Rng::SaveState() const {
-  std::vector<uint8_t> state(kStateBytes);
-  uint8_t* p = state.data();
-  std::memcpy(p, key_.data(), 32);
-  p += 32;
-  std::memcpy(p, nonce_.data(), 12);
-  p += 12;
-  std::memcpy(p, &counter_, 4);
-  p += 4;
-  std::memcpy(p, block_.data(), 64);
-  p += 64;
-  uint64_t pos64 = pos_;
-  std::memcpy(p, &pos64, 8);
-  return state;
-}
-
-Status Rng::LoadState(const std::vector<uint8_t>& state) {
-  if (state.size() != kStateBytes) {
-    return Status::SerializationError("Rng::LoadState: snapshot is " +
-                              std::to_string(state.size()) + " bytes, want " +
-                              std::to_string(kStateBytes));
-  }
-  const uint8_t* p = state.data();
-  uint64_t pos64 = 0;
-  std::memcpy(&pos64, p + 32 + 12 + 4 + 64, 8);
-  if (pos64 > 64) {
-    return Status::SerializationError("Rng::LoadState: cursor " +
-                              std::to_string(pos64) + " out of range [0, 64]");
-  }
-  std::memcpy(key_.data(), p, 32);
-  p += 32;
-  std::memcpy(nonce_.data(), p, 12);
-  p += 12;
-  std::memcpy(&counter_, p, 4);
-  p += 4;
-  std::memcpy(block_.data(), p, 64);
-  pos_ = static_cast<size_t>(pos64);
-  return Status::OK();
-}
-
 std::vector<size_t> Rng::Permutation(size_t n) {
   std::vector<size_t> perm(n);
   for (size_t i = 0; i < n; ++i) perm[i] = i;

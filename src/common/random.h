@@ -14,7 +14,6 @@
 
 #include "common/annotations.h"
 #include "common/logging.h"
-#include "common/status.h"
 
 namespace psi {
 
@@ -38,8 +37,8 @@ class Rng {
 
   /// \brief Derives an independent generator keyed by (this stream, label).
   ///
-  /// Forking never perturbs the parent stream, so adding a forked consumer
-  /// does not change the parent's subsequent output.
+  /// Forking consumes one `NextU64` from the parent, so adding a forked
+  /// consumer shifts the parent's subsequent output by one word.
   Rng Fork(std::string_view label);
 
   /// \brief Next uniformly random 64-bit value.
@@ -86,23 +85,6 @@ class Rng {
       std::swap((*v)[i], (*v)[j]);
     }
   }
-
-  /// \brief Byte length of a `SaveState()` snapshot (fixed-width).
-  static constexpr size_t kStateBytes = 32 + 12 + 4 + 64 + 8;
-
-  /// \brief Serializes the full generator state (key, nonce, counter, block
-  /// buffer, cursor) into a fixed-width `kStateBytes` snapshot.
-  ///
-  /// Restoring the snapshot with `LoadState` reproduces the exact output
-  /// stream from the capture point, which is what lets a checkpointed
-  /// protocol stage replay with bitwise-identical randomness. The snapshot
-  /// contains the ChaCha key, i.e. it is as secret as the generator itself:
-  /// checkpoint stores must treat it as `PSI_SECRET` and never send it.
-  [[nodiscard]] std::vector<uint8_t> SaveState() const;
-
-  /// \brief Restores a `SaveState()` snapshot. Returns SerializationError if
-  /// `state` is not exactly `kStateBytes` long or the cursor is out of range.
-  [[nodiscard]] Status LoadState(const std::vector<uint8_t>& state);
 
  private:
   void Refill();

@@ -225,6 +225,14 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
   if (pair_secret_rng != nullptr) {
     session.RegisterRng("pair-secret", pair_secret_rng);
   }
+  // The running stage's stream of every provider, in provider order.
+  auto provider_stage_rngs = [&session, m]() {
+    std::vector<Rng*> rngs(m);
+    for (size_t k = 0; k < m; ++k) {
+      rngs[k] = session.StageRng("provider" + std::to_string(k));
+    }
+    return rngs;
+  };
 
   // Stage the per-provider program inputs: the public counter config and
   // each provider's own log, durable in that provider's state from stage 0
@@ -246,15 +254,16 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
   }
 
   // Stage bodies are replayable: inputs come from the parties' SessionStates
-  // (written by predecessor stages), randomness only from registered RNGs.
-  // A replay after crash-restart therefore re-derives bitwise the same
-  // transcript the fault-free run produces.
+  // (written by predecessor stages), randomness only from the stage's own
+  // streams. A replay after crash-restart therefore re-derives bitwise the
+  // same transcript the fault-free run produces.
 
   // ---- Steps 1-2: H publishes the obfuscated arc index set Omega_E'. ----
   session.AddStage("omega", [&, this]() -> Status {
     PSI_ASSIGN_OR_RETURN(
         std::vector<Arc> omega,
-        ObfuscateArcSet(host_rng, host_graph, config_.obfuscation_factor));
+        ObfuscateArcSet(session.StageRng("host"), host_graph,
+                        config_.obfuscation_factor));
     views_.omega = omega;
 
     network_->BeginRound("P4.Step2 (H -> P_k: Omega_E')");
@@ -366,7 +375,7 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
       sum_config.packing_epsilon_log2 = config_.epsilon_log2;
       HomomorphicSumProtocol hsum(network_, providers_, sum_config);
       PSI_ASSIGN_OR_RETURN(
-          shares, hsum.RunInteger(inputs, provider_rngs, "P4."));
+          shares, hsum.RunInteger(inputs, provider_stage_rngs(), "P4."));
       session.MeterCryptoOps(hsum.last_run_crypto_ops());
       modulus_ = hsum.modulus();
       views_.used_packed_aggregation = true;
@@ -384,8 +393,8 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
                                    sum_config);
       PSI_ASSIGN_OR_RETURN(
           shares,
-          secure_sum.RunProtocol2(inputs, provider_rngs, pair_secret_rng,
-                                  "P4."));
+          secure_sum.RunProtocol2(inputs, provider_stage_rngs(),
+                                  session.StageRng("pair-secret"), "P4."));
       views_.secure_sum = secure_sum.TakeViews();
     }
     session.PartyState(providers_[0])
@@ -397,15 +406,15 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
 
   // ---- Steps 5-6: joint per-user masks M_i ~ Z and r_i ~ U(0, M_i). ----
   session.AddStage("masks", [&, this]() -> Status {
+    Rng* rng0 = session.StageRng("provider0");
+    Rng* rng1 = session.StageRng("provider1");
     PSI_ASSIGN_OR_RETURN(
         auto u_m, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                    provider_rngs[0], provider_rngs[1],
-                                    "P4.Step5 (joint M_i)"));
+                                    rng0, rng1, "P4.Step5 (joint M_i)"));
     std::vector<double> m_values = ToZDistribution(u_m);
     PSI_ASSIGN_OR_RETURN(
         auto u_r, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                    provider_rngs[0], provider_rngs[1],
-                                    "P4.Step6 (joint r_i)"));
+                                    rng0, rng1, "P4.Step6 (joint r_i)"));
     PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
 
     // Fixed-point masks R_i = floor(r_i * 2^fraction_bits), never zero.

@@ -134,8 +134,10 @@ class LinkInfluenceProtocol {
   /// resumable stages (omega, one counters-P<k> per provider, aggregate,
   /// masks, masked-shares, recombine) under `retry`. A stage that fails — a
   /// provider crashed mid-round, an unrepairable channel — is replayed from
-  /// the last checkpoint after a resume handshake, with all randomness
-  /// rewound, so a recovered run returns bitwise the fault-free result. The
+  /// the last checkpoint after a resume handshake, drawing from the same
+  /// derived stage streams, so a recovered run returns bitwise the
+  /// fault-free result. Each generator gives the session one 256-bit key
+  /// and is otherwise untouched. The
   /// counters-P<k> stages are registered stage programs ("p4/counters")
   /// placed on their providers: pass a RemoteSessionOrchestrator
   /// (mpc/remote_exec.h) as `orchestrator` to execute them on the

@@ -381,7 +381,8 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
   session.AddStage("omega", [&, this]() -> Status {
     PSI_ASSIGN_OR_RETURN(
         std::vector<Arc> omega,
-        ObfuscateArcSet(host_rng, host_graph, config_.obfuscation_factor));
+        ObfuscateArcSet(session.StageRng("host"), host_graph,
+                        config_.obfuscation_factor));
     views_.omega = omega;
 
     network_->BeginRound("P6.Step2 (H -> P_k: Omega_E')");
@@ -412,7 +413,8 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
   // ---- Step 3: H generates a key pair and publishes its public half. ----
   session.AddStage("keygen", [&, this]() -> Status {
     PSI_ASSIGN_OR_RETURN(RsaKeyPair keys,
-                         RsaGenerateKeyPair(host_rng, config_.rsa_bits));
+                         RsaGenerateKeyPair(session.StageRng("host"),
+                                            config_.rsa_bits));
     session.MeterCryptoOps(1);  // key generation
     session.PartyState(host_).Put(kKeyPrivateKey,
                                   PackPrivateKey(keys.private_key));
@@ -439,8 +441,7 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
   // stage per provider, each a registered stage program placed on that
   // provider: the base orchestrator (and the simulator) runs it in-process,
   // a RemoteSessionOrchestrator ships it to the provider's own psid daemon.
-  // Same RNG streams drawn in the same order, so the split is transcript-
-  // invariant versus the old single "encrypt" stage.
+  // Each draws from its own provider's stream for its own stage.
   for (size_t k = 0; k < m; ++k) {
     RemoteStageSpec spec;
     spec.party = providers_[k];

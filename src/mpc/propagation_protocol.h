@@ -98,8 +98,9 @@ class PropagationGraphProtocol {
   /// execute them on the providers' psid daemons; with the default
   /// orchestrator (nullptr: one is built from `retry`; when non-null,
   /// `retry` is ignored in favor of the orchestrator's own policy) they run
-  /// in-process. `Run` is exactly this with a single attempt. `stats_out`
-  /// (optional) receives the session's SessionStats.
+  /// in-process. Each generator gives the session one 256-bit key and is
+  /// otherwise untouched. `Run` is exactly this with a single attempt.
+  /// `stats_out` (optional) receives the session's SessionStats.
   [[nodiscard]] Result<Protocol6Output> RunSession(
       const SocialGraph& host_graph, size_t num_actions,
       const std::vector<ActionLog>& provider_logs, Rng* host_rng,

@@ -102,24 +102,11 @@ wire::ExecResponse StageExecutor::Dispatch(const wire::ExecRequest& req) {
     resp.message = "stage program '" + req.program + "' is not registered";
     return resp;
   }
-  // Host randomness is authoritative: rebuild the program's RNG streams
-  // from the request's snapshots, so a replayed request re-derives bitwise
-  // the same draws no matter what ran here before.
-  std::vector<Rng> rngs;
-  rngs.reserve(req.rng_blobs.size());
+  // The request's keys start the stage's streams afresh, so a replayed
+  // request re-derives bitwise the same draws no matter what ran here before.
+  std::vector<Rng> rngs(req.rng_keys.begin(), req.rng_keys.end());
   StageProgramContext ctx;
   ctx.state = &slot.state;
-  for (const auto& [label, blob] : req.rng_blobs) {
-    Rng rng(0);
-    Status loaded = rng.LoadState(blob);
-    if (!loaded.ok()) {
-      resp.outcome = wire::ExecOutcome::kError;
-      resp.message = "RNG snapshot '" + label +
-                     "' rejected: " + loaded.message();
-      return resp;
-    }
-    rngs.push_back(std::move(rng));
-  }
   for (Rng& rng : rngs) ctx.rngs.push_back(&rng);
   ++stats_.executed;
   Status ran = StageProgramRegistry::Global().Run(req.program, &ctx);
@@ -133,10 +120,6 @@ wire::ExecResponse StageExecutor::Dispatch(const wire::ExecRequest& req) {
   resp.outcome = wire::ExecOutcome::kOk;
   resp.crypto_ops = ctx.crypto_ops;
   resp.state_blob = slot.state.Serialize();
-  resp.rng_blobs.reserve(req.rng_blobs.size());
-  for (size_t i = 0; i < req.rng_blobs.size(); ++i) {
-    resp.rng_blobs.emplace_back(req.rng_blobs[i].first, rngs[i].SaveState());
-  }
   slot.stages_completed = req.stage_index + 1;
   slot.has_cached = true;
   slot.cached_stage = req.stage_index;
@@ -163,13 +146,8 @@ Result<wire::ExecResponse> RemoteSessionOrchestrator::CallOnce(
     ++exec_stats_.restores_shipped;
   }
   for (const std::string& label : spec.rng_labels) {
-    Rng* rng = session->RngByLabel(label);
-    if (rng == nullptr) {
-      return Status::FailedPrecondition(
-          "stage program '" + spec.program + "' wants RNG '" + label +
-          "' but the session never registered it");
-    }
-    req.rng_blobs.emplace_back(label, rng->SaveState());
+    PSI_ASSIGN_OR_RETURN(wire::ExecRngKey key, session->StageRngKey(label));
+    req.rng_keys.push_back(key);
   }
   const std::vector<uint8_t> frame =
       SealEnvelope(ProtocolId::kExec, wire::kExecStepRequest, spec.party,
@@ -199,30 +177,9 @@ Status RemoteSessionOrchestrator::ApplyResult(ProtocolSession* session,
                                               const RemoteStageSpec& spec,
                                               size_t index,
                                               const wire::ExecResponse& resp) {
-  if (resp.rng_blobs.size() != spec.rng_labels.size()) {
-    return Status::ProtocolError(
-        "daemon result advances " + std::to_string(resp.rng_blobs.size()) +
-        " RNG stream(s) but the stage spec lists " +
-        std::to_string(spec.rng_labels.size()));
-  }
-  PSI_ASSIGN_OR_RETURN(SessionState state,
+  // A rejected blob leaves the session untouched.
+  PSI_ASSIGN_OR_RETURN(session->PartyState(spec.party),
                        SessionState::Deserialize(resp.state_blob));
-  for (size_t i = 0; i < resp.rng_blobs.size(); ++i) {
-    const auto& [label, blob] = resp.rng_blobs[i];
-    if (label != spec.rng_labels[i]) {
-      return Status::ProtocolError("daemon result labels RNG stream " +
-                                   std::to_string(i) + " '" + label +
-                                   "', expected '" + spec.rng_labels[i] + "'");
-    }
-    Rng* rng = session->RngByLabel(label);
-    if (rng == nullptr) {
-      return Status::FailedPrecondition("RNG '" + label +
-                                        "' vanished from the session");
-    }
-    PSI_RETURN_NOT_OK(rng->LoadState(blob));
-  }
-  // Commit last: a rejected blob above leaves the session untouched.
-  session->PartyState(spec.party) = std::move(state);
   session->MeterCryptoOps(resp.crypto_ops);
   if (resp.from_cache) ++exec_stats_.cache_hits;
   exec_stats_.remote_crypto_ops += resp.crypto_ops;

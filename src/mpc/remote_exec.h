@@ -7,15 +7,16 @@
 //     Handler() as the PsidConfig::exec_handler; each kExec transport
 //     message carries one sealed ProtocolId::kExec request envelope, the
 //     executor runs the named registered program against its cached
-//     (session, party) state, and the response envelope ships the
-//     *daemon-side checkpoint* — post-stage SessionState plus advanced RNG
-//     snapshots — back to the host, which commits it exactly as if the
-//     stage had run in-process. A fresh daemon (restarted after SIGKILL)
-//     holds no state and answers kNeedState; the host re-ships the last
-//     committed checkpoint, which is the same restore the local resume path
-//     performs. Completed results are cached per slot, so a retry of a call
-//     whose answer was lost in flight (SIGSTOP, timeout) is served without
-//     recomputing a single Paillier operation.
+//     (session, party) state with the streams keyed by the request's stage
+//     keys, and the response envelope ships the *daemon-side checkpoint* —
+//     the post-stage SessionState — back to the host, which commits it
+//     exactly as if the stage had run in-process. A fresh daemon
+//     (restarted after SIGKILL) holds no state and answers kNeedState; the
+//     host re-ships the last committed checkpoint, which is the same
+//     restore the local resume path performs. Completed results are cached
+//     per slot, so a retry of a call whose answer was lost in flight
+//     (SIGSTOP, timeout) is served without recomputing a single Paillier
+//     operation.
 //
 //   * RemoteSessionOrchestrator extends SessionOrchestrator: stages added
 //     with AddRemoteStage are dispatched to the daemon hosting the
@@ -25,16 +26,17 @@
 //     Reestablish() between attempts — and when the budget is exhausted it
 //     degrades to local (hairpin) execution: metered, logged at Warning,
 //     never silent, and bitwise-identical because a stage program is a pure
-//     function of (state, rngs). With allow_local_fallback off, exhaustion
-//     is a clean ProtocolError naming the stage, program, party and attempt
-//     count. Checkpointing, resume handshakes, and session-level retries
-//     are inherited unchanged from the base orchestrator.
+//     function of (state, stream keys). With allow_local_fallback off,
+//     exhaustion is a clean ProtocolError naming the stage, program, party
+//     and attempt count. Checkpointing, resume handshakes, and
+//     session-level retries are inherited unchanged from the base
+//     orchestrator.
 //
 // Secrecy: exec request/response blobs contain exactly one party's durable
-// state and RNG streams — key material included — and travel only on the
-// link to that party's own daemon, which is that party's execution
-// environment (the same trust domain that would hold the state in a real
-// deployment). They never transit a peer party. The exec channel is
+// state and the stage's stream keys — key material included — and travel
+// only on the link to that party's own daemon, which is that party's
+// execution environment (the same trust domain that would hold the state in
+// a real deployment). They never transit a peer party. The exec channel is
 // transport traffic: it is counted in TransportStats, never in the protocol
 // TrafficReport, so remote-executed transcripts stay bitwise-comparable
 // with simulator runs (docs/TRANSPORT.md, "Remote execution").
@@ -168,7 +170,7 @@ class RemoteSessionOrchestrator : public SessionOrchestrator {
       bool include_state, uint64_t deadline_ms, bool* no_engine);
 
   /// Commits a kOk response: installs the daemon-side checkpoint into the
-  /// session (party state, RNG streams, crypto-op meter).
+  /// session (party state, crypto-op meter).
   [[nodiscard]] Status ApplyResult(ProtocolSession* session,
                                    const RemoteStageSpec& spec, size_t index,
                                    const wire::ExecResponse& resp);

@@ -79,20 +79,17 @@ std::vector<uint64_t> ToLimbs(const BigUInt& v, size_t w) {
 }
 
 // Uniform draws in [0, bound) into w-limb slots, draw for draw identical to
-// BigUInt::RandomBelow: a candidate takes ceil(bits / 64) NextU64 words, its
-// top limb masked to the bound's bit length, and is redrawn while >= bound.
+// BigUInt::RandomBelow: a candidate takes ceil(bits / 64) NextU64 words for
+// bits = BitLength(bound - 1), its top limb masked to those bits, and is
+// redrawn while >= bound (so a power-of-two bound never redraws).
 class BelowSampler {
  public:
   BelowSampler(const BigUInt& bound, size_t w)
-      : bound_(ToLimbs(bound, w)),
-        w_(w),
-        draw_limbs_((bound.BitLength() + 63) / 64),
-        top_mask_(bound.BitLength() % 64 == 0
-                      ? ~0ull
-                      : ~0ull >> (64 - bound.BitLength() % 64)) {}
+      : BelowSampler(bound, w, (bound - BigUInt(1)).BitLength()) {}
 
   void Draw(Rng* rng, uint64_t* out) const {
     std::fill(out + draw_limbs_, out + w_, 0);
+    if (draw_limbs_ == 0) return;  // bound == 1: RandomBelow draws nothing.
     do {
       for (size_t i = 0; i < draw_limbs_; ++i) out[i] = rng->NextU64();
       out[draw_limbs_ - 1] &= top_mask_;
@@ -100,9 +97,15 @@ class BelowSampler {
   }
 
  private:
+  BelowSampler(const BigUInt& bound, size_t w, size_t bits)
+      : bound_(ToLimbs(bound, w)),
+        w_(w),
+        draw_limbs_((bits + 63) / 64),
+        top_mask_(bits % 64 == 0 ? ~0ull : ~0ull >> (64 - bits % 64)) {}
+
   std::vector<uint64_t> bound_;
   size_t w_;
-  size_t draw_limbs_;  // >= 1: every bound here is positive.
+  size_t draw_limbs_;
   uint64_t top_mask_;
 };
 

@@ -1,9 +1,13 @@
 #include "mpc/session.h"
 
 #include <algorithm>
+#include <cstring>
+#include <set>
 #include <utility>
 
+#include "common/chacha_core.h"
 #include "common/serialize.h"
+#include "crypto/sha256.h"
 
 namespace psi {
 
@@ -25,10 +29,6 @@ Result<std::vector<uint8_t>> SessionState::Get(const std::string& key) const {
   }
   return it->second;
 }
-
-void SessionState::Clear() { entries_.clear(); }
-
-size_t SessionState::NumEntries() const { return entries_.size(); }
 
 uint64_t SessionState::ByteSize() const {
   uint64_t total = 0;
@@ -114,14 +114,6 @@ Status StageProgramRegistry::Run(const std::string& name,
   return fn(ctx);
 }
 
-std::vector<std::string> StageProgramRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> names;
-  names.reserve(programs_.size());
-  for (const auto& [name, fn] : programs_) names.push_back(name);
-  return names;
-}
-
 // -- ProtocolSession --------------------------------------------------------
 
 ProtocolSession::ProtocolSession(std::string name, Network* network,
@@ -147,16 +139,52 @@ void ProtocolSession::AddRemoteStage(std::string stage_name,
   });
 }
 
-void ProtocolSession::RegisterRng(std::string label, Rng* rng) {
-  rng_labels_.push_back(std::move(label));
-  rngs_.push_back(rng);
+void ProtocolSession::RegisterRng(const std::string& label, Rng* rng) {
+  std::array<uint32_t, 8>& key = rng_keys_[label];
+  for (uint32_t& word : key) word = rng->NextU32();
 }
 
-Rng* ProtocolSession::RngByLabel(const std::string& label) const {
-  for (size_t i = 0; i < rng_labels_.size(); ++i) {
-    if (rng_labels_[i] == label) return rngs_[i];
+Result<std::array<uint32_t, 8>> ProtocolSession::StageRngKey(
+    const std::string& label) const {
+  auto it = rng_keys_.find(label);
+  // psi-lint: allow(secret-flow) the branch tests whether the public label is registered; no key bit reaches it
+  if (it == rng_keys_.end()) {
+    return Status::FailedPrecondition("session '" + name_ +
+                                      "' has no RNG registered as '" + label +
+                                      "'");
   }
-  return nullptr;
+  if (current_stage_ >= stage_names_.size()) {
+    return Status::FailedPrecondition("session '" + name_ +
+                                      "' has no stage to key a stream for");
+  }
+  // Length-prefixed, so distinct (stage, label) pairs hash apart.
+  BinaryWriter coords;
+  coords.WriteString(stage_names_[current_stage_]);
+  coords.WriteString(label);
+  const auto digest = Sha256::Hash(coords.TakeBuffer());
+  std::array<uint32_t, 3> nonce;
+  std::memcpy(nonce.data(), digest.data(), sizeof(nonce));
+  PSI_SECRET std::array<uint8_t, 64> block;
+  internal::ChaCha20Block(it->second, 0, nonce, &block);
+  PSI_SECRET std::array<uint32_t, 8> stage_key;
+  std::memcpy(stage_key.data(), block.data(), sizeof(stage_key));
+  return stage_key;
+}
+
+Rng* ProtocolSession::StageRng(const std::string& label) {
+  auto it = stage_rngs_.find(label);
+  if (it == stage_rngs_.end()) {
+    auto key = StageRngKey(label);
+    if (!key.ok()) return nullptr;
+    it = stage_rngs_.emplace(label, Rng(key.ValueOrDie())).first;
+  }
+  return &it->second;
+}
+
+void ProtocolSession::EnterStage(size_t index) {
+  current_stage_ = index;
+  stage_rngs_.clear();
+  current_stage_ops_ = 0;
 }
 
 const RemoteStageSpec* ProtocolSession::remote_spec(size_t index) const {
@@ -167,9 +195,8 @@ const RemoteStageSpec* ProtocolSession::remote_spec(size_t index) const {
 Status ProtocolSession::RunStageProgramLocally(const RemoteStageSpec& spec) {
   StageProgramContext ctx;
   ctx.state = &PartyState(spec.party);
-  ctx.rngs.reserve(spec.rng_labels.size());
   for (const std::string& label : spec.rng_labels) {
-    Rng* rng = RngByLabel(label);
+    Rng* rng = StageRng(label);
     if (rng == nullptr) {
       return Status::FailedPrecondition(
           "stage program '" + spec.program + "' wants RNG '" + label +
@@ -201,9 +228,6 @@ SessionOrchestrator::Checkpoint SessionOrchestrator::Capture(
   for (PartyId party : session.parties_) {
     cp.party_blobs.emplace_back(party, session.PartyState(party).Serialize());
   }
-  for (Rng* rng : session.rngs_) {
-    cp.rng_blobs.push_back(rng->SaveState());
-  }
   return cp;
 }
 
@@ -212,15 +236,6 @@ Status SessionOrchestrator::Restore(ProtocolSession& session,
   for (const auto& [party, blob] : checkpoint.party_blobs) {
     PSI_ASSIGN_OR_RETURN(session.states_[party],
                          SessionState::Deserialize(blob));
-  }
-  if (checkpoint.rng_blobs.size() != session.rngs_.size()) {
-    return Status::Internal(
-        "session checkpoint snapshots " +
-        std::to_string(checkpoint.rng_blobs.size()) + " RNG stream(s) but " +
-        std::to_string(session.rngs_.size()) + " are registered");
-  }
-  for (size_t i = 0; i < session.rngs_.size(); ++i) {
-    PSI_RETURN_NOT_OK(session.rngs_[i]->LoadState(checkpoint.rng_blobs[i]));
   }
   return Status::OK();
 }
@@ -306,6 +321,15 @@ Status SessionOrchestrator::Run(ProtocolSession* session) {
   if (policy_.max_attempts == 0) {
     return Status::InvalidArgument("RetryPolicy: max_attempts must be >= 1");
   }
+  std::set<std::string> names;
+  for (const std::string& stage : session->stage_names_) {
+    if (!names.insert(stage).second) {
+      // Both would derive the same streams and reuse masks.
+      return Status::InvalidArgument(
+          "SessionOrchestrator: session '" + session->name_ +
+          "' has two stages named '" + stage + "'");
+    }
+  }
   stats_ = SessionStats{};
   completed_high_water_ = 0;
   last_failed_stage_.clear();
@@ -369,7 +393,7 @@ Status SessionOrchestrator::Run(ProtocolSession* session) {
 
     Status stage_error = Status::OK();
     for (size_t i = start_stage; i < session->num_stages(); ++i) {
-      session->current_stage_ops_ = 0;
+      session->EnterStage(i);
       ++stats_.stages_run;
       if (stage_observer_) {
         stage_observer_(static_cast<uint32_t>(i), session->stage_name(i));
@@ -393,9 +417,6 @@ Status SessionOrchestrator::Run(ProtocolSession* session) {
       ++stats_.checkpoints_written;
       for (const auto& [party, blob] : latest.party_blobs) {
         (void)party;
-        stats_.checkpoint_bytes += blob.size();
-      }
-      for (const auto& blob : latest.rng_blobs) {
         stats_.checkpoint_bytes += blob.size();
       }
     }

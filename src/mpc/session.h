@@ -2,27 +2,33 @@
 //
 // A ProtocolSession runs a protocol driver as a sequence of named stages.
 // After every completed stage the SessionOrchestrator captures a checkpoint:
-// each party's durable key/value SessionState plus a snapshot of every
-// registered RNG stream. When a stage fails (a party crashed mid-round, the
-// channel could not be repaired, a peer sent garbage), the orchestrator
-// backs off a bounded, seeded number of rounds, restores every party from
-// the last checkpoint, performs a resume handshake — re-synchronizing the
-// per-channel envelope sequence counters and draining stale mailboxes — and
-// replays only the failed stage. Because the RNG snapshots rewind the
-// randomness along with the state, a replayed stage re-derives bitwise the
-// same masks, shares and ciphertexts, so a recovered run converges to the
-// exact fault-free transcript (the chaos harness pins this).
+// each party's durable key/value SessionState. When a stage fails (a party
+// crashed mid-round, the channel could not be repaired, a peer sent
+// garbage), the orchestrator backs off a bounded, seeded number of rounds,
+// restores every party from the last checkpoint, performs a resume
+// handshake — re-synchronizing the per-channel envelope sequence counters
+// and draining stale mailboxes — and replays only the failed stage.
+//
+// Randomness is a pure function of its coordinates. Registering a party's
+// Rng draws one 256-bit session key from it; a stage then draws from the
+// stream keyed by (session key, stage name, label). Every run of a stage —
+// the first try, a replay after a crash, a run on the party's psid daemon —
+// re-derives that stream from its start, so a replayed stage re-derives
+// bitwise the same masks, shares and ciphertexts and a recovered run
+// converges to the exact fault-free transcript (the chaos harness pins
+// this). Nothing about randomness is checkpointed or rewound.
 //
 // Secrecy: checkpoints hold exactly what the parties already hold — key
-// material, masks, shares, RNG streams. They are process-local durable
-// storage and NEVER cross the wire; the only session traffic is the resume
-// handshake, whose payload is two public counters (attempt, next stage).
+// material, masks, shares. They are process-local durable storage and
+// NEVER cross the wire; the only session traffic is the resume handshake,
+// whose payload is two public counters (attempt, next stage).
 // Checkpoint buffers are PSI_SECRET-annotated and psi_lint-audited
 // (docs/FAULTS.md has the full secrecy argument).
 
 #ifndef PSI_MPC_SESSION_H_
 #define PSI_MPC_SESSION_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -52,9 +58,9 @@ inline constexpr uint16_t kSessionStepResumeSync = 1;
 /// (ciphertexts, masked shares) here and re-send them on resume, so the
 /// store itself is not PSI_SECRET — the taint engine tracks the underlying
 /// plaintexts at their source instead. The durable serialized form IS
-/// sensitive (it can embed private keys and RNG snapshots): Checkpoint's
-/// party_blobs/rng_blobs carry the PSI_SECRET annotation and must only ever
-/// travel to durable storage, never to a peer.
+/// sensitive (it can embed private keys and masks): Checkpoint's
+/// party_blobs carry the PSI_SECRET annotation and must only ever travel to
+/// durable storage, never to a peer.
 class SessionState {
  public:
   /// \brief Inserts or overwrites the blob under `key`.
@@ -66,11 +72,6 @@ class SessionState {
   /// \brief The blob under `key`, or FailedPrecondition if absent (a stage
   /// reading state its predecessors never wrote is a driver bug).
   [[nodiscard]] Result<std::vector<uint8_t>> Get(const std::string& key) const;
-
-  /// \brief Removes all entries.
-  void Clear();
-
-  size_t NumEntries() const;
 
   /// \brief Total stored bytes (keys + values).
   uint64_t ByteSize() const;
@@ -134,13 +135,13 @@ struct SessionStats {
 };
 
 /// \brief Execution context a stage program runs against: one party's
-/// durable state plus the RNG streams the program draws from (in the order
-/// the RemoteStageSpec lists their labels).
+/// durable state plus the stage's RNG streams (in the order the
+/// RemoteStageSpec lists their labels).
 ///
-/// A stage program is a pure function of (state, rngs): no wire access, no
-/// driver locals. That is what makes it location-transparent — the same
-/// program run locally, on a psid daemon, or replayed after a crash
-/// produces bitwise-identical state and bitwise-identical RNG evolution.
+/// A stage program is a pure function of (state, stream keys): no wire
+/// access, no driver locals. That is what makes it location-transparent —
+/// the same program run locally, on a psid daemon, or replayed after a
+/// crash produces bitwise-identical state.
 struct StageProgramContext {
   SessionState* state = nullptr;
   std::vector<Rng*> rngs;
@@ -165,8 +166,6 @@ class StageProgramRegistry {
   [[nodiscard]] Status Run(const std::string& name,
                            StageProgramContext* ctx) const;
 
-  std::vector<std::string> Names() const;
-
  private:
   mutable std::mutex mu_;
   std::map<std::string, StageProgramFn> programs_;
@@ -174,7 +173,7 @@ class StageProgramRegistry {
 
 /// \brief Placement of one remote-executable stage: which party computes,
 /// which registered program, and which of the session's RNG streams the
-/// program consumes (by registration label, in draw order).
+/// program consumes (by registration label, in StageProgramContext order).
 struct RemoteStageSpec {
   PartyId party = 0;
   std::string program;
@@ -191,7 +190,7 @@ struct RemoteStageSpec {
 /// SessionStates, and report expensive public-key operations via
 /// MeterCryptoOps. A body must be replayable: reading its inputs from
 /// SessionState (not from driver locals of an earlier stage) and drawing
-/// randomness only from registered RNGs.
+/// randomness only from StageRng.
 class ProtocolSession {
  public:
   using StageBody = std::function<Status()>;
@@ -201,7 +200,9 @@ class ProtocolSession {
   ProtocolSession(std::string name, Network* network,
                   std::vector<PartyId> parties);
 
-  /// \brief Appends a stage. Stages run in registration order.
+  /// \brief Appends a stage. Stages run in registration order. A stage's
+  /// name keys its random streams, so names must be unique within the
+  /// session; SessionOrchestrator::Run rejects duplicates.
   void AddStage(std::string stage_name, StageBody body);
 
   /// \brief Appends a stage bound to a registered stage program. The base
@@ -211,17 +212,22 @@ class ProtocolSession {
   /// the daemon hosting `spec.party` when the transport supports that.
   void AddRemoteStage(std::string stage_name, RemoteStageSpec spec);
 
-  /// \brief Registers an RNG whose stream the checkpoints snapshot and
-  /// recovery rewinds. Every RNG a stage body draws from must be here.
-  void RegisterRng(std::string label, Rng* rng);
+  /// \brief Registers a party's randomness under `label`: draws the
+  /// session's 256-bit key for `label` from `rng`. That is the only draw
+  /// the session takes from `rng`, so back-to-back sessions on the same
+  /// generator get fresh randomness. Stages draw from StageRng(label).
+  void RegisterRng(const std::string& label, Rng* rng);
 
-  /// \brief The RNG registered under `label`, or nullptr.
-  Rng* RngByLabel(const std::string& label) const;
+  /// \brief The running stage's stream for `label`, or nullptr if `label`
+  /// was never registered. Its key is StageRngKey(label); the stream starts
+  /// afresh each time the stage runs, so a replay draws the same values.
+  Rng* StageRng(const std::string& label);
 
-  /// \brief Runs `spec`'s program in-process against this session (the
-  /// local-fallback body AddRemoteStage installs; also the orchestrator's
-  /// degrade-to-local path).
-  [[nodiscard]] Status RunStageProgramLocally(const RemoteStageSpec& spec);
+  /// \brief Key of the running stage's stream for `label`: the first 32
+  /// bytes of ChaCha20Block(session key, 0, SHA-256(stage name, label)).
+  /// FailedPrecondition if `label` was never registered.
+  [[nodiscard]] Result<std::array<uint32_t, 8>> StageRngKey(
+      const std::string& label) const;
 
   /// \brief The durable store of `party` (created on first use).
   SessionState& PartyState(PartyId party);
@@ -243,10 +249,16 @@ class ProtocolSession {
   /// added with AddStage (wire stages and host-private closures).
   const RemoteStageSpec* remote_spec(size_t index) const;
 
-  const std::vector<std::string>& rng_labels() const { return rng_labels_; }
-
  private:
   friend class SessionOrchestrator;
+
+  /// Makes stage `index` the running one: its streams start afresh and its
+  /// op meter at zero.
+  void EnterStage(size_t index);
+
+  /// Runs `spec`'s program in-process against this session (the body
+  /// AddRemoteStage installs, hence also the degrade-to-local path).
+  [[nodiscard]] Status RunStageProgramLocally(const RemoteStageSpec& spec);
 
   std::string name_;
   Network* network_;
@@ -254,8 +266,9 @@ class ProtocolSession {
   std::vector<std::string> stage_names_;
   std::vector<StageBody> stage_bodies_;
   std::map<size_t, RemoteStageSpec> remote_specs_;
-  std::vector<std::string> rng_labels_;
-  std::vector<Rng*> rngs_;
+  PSI_SECRET std::map<std::string, std::array<uint32_t, 8>> rng_keys_;
+  std::map<std::string, Rng> stage_rngs_;  ///< The running stage's streams.
+  size_t current_stage_ = 0;
   std::map<PartyId, SessionState> states_;
   uint64_t current_stage_ops_ = 0;
 };
@@ -267,11 +280,11 @@ class SessionOrchestrator {
   explicit SessionOrchestrator(RetryPolicy policy) : policy_(policy) {}
   virtual ~SessionOrchestrator() = default;
 
-  /// \brief Runs the session to completion. OK only if every stage
-  /// succeeded in some attempt; otherwise the last stage error wrapped in a
-  /// ProtocolError naming the attempt budget. Mailboxes of all parties are
-  /// drained on every outcome, so a failed session never leaks frames into
-  /// a successor protocol.
+  /// \brief Runs the session to completion. InvalidArgument if two stages
+  /// share a name. OK only if every stage succeeded in some attempt;
+  /// otherwise the last stage error wrapped in a ProtocolError naming the
+  /// attempt budget. Mailboxes of all parties are drained on every outcome,
+  /// so a failed session never leaks frames into a successor protocol.
   [[nodiscard]] Status Run(ProtocolSession* session);
 
   const SessionStats& stats() const { return stats_; }
@@ -289,14 +302,13 @@ class SessionOrchestrator {
   }
 
  protected:
-  /// One full checkpoint: serialized party states + RNG snapshots + the
+  /// One full checkpoint: serialized party states + the
   /// per-completed-stage crypto-op ledger. Holds key material and masks —
   /// PSI_SECRET, durable-storage only.
   struct Checkpoint {
     uint32_t stages_completed = 0;
     PSI_SECRET std::vector<std::pair<PartyId, std::vector<uint8_t>>>
         party_blobs;
-    PSI_SECRET std::vector<std::vector<uint8_t>> rng_blobs;
     std::vector<uint64_t> stage_ops;  ///< Ops metered per completed stage.
   };
 

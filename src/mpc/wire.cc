@@ -110,28 +110,6 @@ Status UnpackRecords(const std::vector<uint8_t>& buf,
 
 namespace {
 
-void WriteRngBlobs(BinaryWriter* w, const std::vector<ExecRngBlob>& blobs) {
-  w->WriteVarU64(blobs.size());
-  for (const auto& [label, bytes] : blobs) {
-    w->WriteString(label);
-    w->WriteBytes(bytes);
-  }
-}
-
-[[nodiscard]] Status ReadRngBlobs(BinaryReader* r,
-                                  std::vector<ExecRngBlob>* out) {
-  uint64_t count;
-  // A labelled snapshot is at least a 1-byte label length plus a 1-byte
-  // state length.
-  PSI_RETURN_NOT_OK(r->ReadCount(&count, /*min_bytes_per_element=*/2));
-  out->resize(count);
-  for (auto& [label, bytes] : *out) {
-    PSI_RETURN_NOT_OK(r->ReadString(&label));
-    PSI_RETURN_NOT_OK(r->ReadBytes(&bytes));
-  }
-  return Status::OK();
-}
-
 [[nodiscard]] Status CheckExecVersion(BinaryReader* r) {
   uint32_t version = 0;
   PSI_RETURN_NOT_OK(r->ReadU32(&version));
@@ -155,7 +133,10 @@ std::vector<uint8_t> PackExecRequest(const ExecRequest& req) {
   w.WriteU32(req.party);
   w.WriteU8(req.includes_state ? 1 : 0);
   if (req.includes_state) w.WriteBytes(req.state_blob);
-  WriteRngBlobs(&w, req.rng_blobs);
+  w.WriteVarU64(req.rng_keys.size());
+  for (const ExecRngKey& key : req.rng_keys) {
+    for (uint32_t word : key) w.WriteU32(word);
+  }
   return w.TakeBuffer();
 }
 
@@ -174,9 +155,13 @@ Status UnpackExecRequest(const std::vector<uint8_t>& buf, ExecRequest* out) {
   }
   out->includes_state = includes == 1;
   out->state_blob.clear();
-  out->rng_blobs.clear();
   if (out->includes_state) PSI_RETURN_NOT_OK(r.ReadBytes(&out->state_blob));
-  PSI_RETURN_NOT_OK(ReadRngBlobs(&r, &out->rng_blobs));
+  uint64_t keys = 0;
+  PSI_RETURN_NOT_OK(r.ReadCount(&keys, /*min_bytes_per_element=*/32));
+  out->rng_keys.resize(keys);
+  for (ExecRngKey& key : out->rng_keys) {
+    for (uint32_t& word : key) PSI_RETURN_NOT_OK(r.ReadU32(&word));
+  }
   if (!r.AtEnd()) return Status::SerializationError("trailing bytes");
   return Status::OK();
 }
@@ -188,11 +173,7 @@ std::vector<uint8_t> PackExecResponse(const ExecResponse& resp) {
   w.WriteString(resp.message);
   w.WriteU8(resp.from_cache ? 1 : 0);
   w.WriteU64(resp.crypto_ops);
-  const bool has_payload = resp.outcome == ExecOutcome::kOk;
-  if (has_payload) {
-    w.WriteBytes(resp.state_blob);
-    WriteRngBlobs(&w, resp.rng_blobs);
-  }
+  if (resp.outcome == ExecOutcome::kOk) w.WriteBytes(resp.state_blob);
   return w.TakeBuffer();
 }
 
@@ -216,10 +197,8 @@ Status UnpackExecResponse(const std::vector<uint8_t>& buf,
   out->from_cache = cached == 1;
   PSI_RETURN_NOT_OK(r.ReadU64(&out->crypto_ops));
   out->state_blob.clear();
-  out->rng_blobs.clear();
   if (out->outcome == ExecOutcome::kOk) {
     PSI_RETURN_NOT_OK(r.ReadBytes(&out->state_blob));
-    PSI_RETURN_NOT_OK(ReadRngBlobs(&r, &out->rng_blobs));
   }
   if (!r.AtEnd()) return Status::SerializationError("trailing bytes");
   return Status::OK();

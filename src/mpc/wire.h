@@ -16,9 +16,9 @@
 #ifndef PSI_MPC_WIRE_H_
 #define PSI_MPC_WIRE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "actionlog/action_log.h"
@@ -76,14 +76,15 @@ std::vector<uint8_t> PackRecords(const std::vector<ActionRecord>& records);
 // ---------------------------------------------------------------------------
 // Remote stage execution (ProtocolId::kExec). An ExecRequest asks the daemon
 // hosting `party` to run one registered stage program against that party's
-// SessionState; the ExecResponse ships the post-stage state and advanced RNG
-// snapshots back — the daemon-side checkpoint the host commits. Both codecs
-// are versioned and follow the hardened decode discipline (bounded counts,
-// no trailing bytes): a daemon parses requests from the wire.
+// SessionState, with the stage's derived stream keys; the ExecResponse ships
+// the post-stage state back — the daemon-side checkpoint the host commits.
+// Both codecs are versioned and follow the hardened decode discipline
+// (bounded counts, no trailing bytes): a daemon parses requests from the wire.
 // ---------------------------------------------------------------------------
 
-/// \brief Version tag of the exec request/response wire format.
-inline constexpr uint32_t kExecWireVersion = 1;
+/// \brief Version tag of the exec request/response wire format. Decoders
+/// refuse any other version, including version 1's RNG-snapshot frames.
+inline constexpr uint32_t kExecWireVersion = 2;
 
 /// \brief Step tags of ProtocolId::kExec envelopes. The envelope `seq`
 /// field carries the stage index so late results of a timed-out call are
@@ -91,10 +92,10 @@ inline constexpr uint32_t kExecWireVersion = 1;
 inline constexpr uint16_t kExecStepRequest = 1;
 inline constexpr uint16_t kExecStepResult = 2;
 
-/// \brief A labelled RNG snapshot (label as registered on the session).
-/// The snapshot bytes determine the party's future secret draws — they ride
-/// the exec channel only, which terminates at the party's own daemon.
-using ExecRngBlob = std::pair<std::string, std::vector<uint8_t>>;
+/// \brief A stage stream key (ProtocolSession::StageRngKey). It determines
+/// the party's secret draws for one stage — it rides the exec channel only,
+/// which terminates at the party's own daemon.
+using ExecRngKey = std::array<uint32_t, 8>;
 
 /// \brief One stage-program invocation.
 struct ExecRequest {
@@ -106,33 +107,30 @@ struct ExecRequest {
   /// When true, `state_blob` carries the party's full durable state (fresh
   /// daemon, or restore after reconnect). When false the daemon must
   /// already hold state for (session, party) at exactly `stage_index`
-  /// completed stages, else it answers kNeedState. RNG snapshots always
-  /// ride along (tiny; listed in the stage spec's label order) — the host
-  /// stays the authority on randomness, so a replayed request re-derives
-  /// bitwise the same draws.
+  /// completed stages, else it answers kNeedState.
   bool includes_state = false;
   PSI_SECRET std::vector<uint8_t> state_blob;  ///< SessionState::Serialize.
-  PSI_SECRET std::vector<ExecRngBlob> rng_blobs;
+  /// The stage's stream keys, in the stage spec's label order. A replayed
+  /// request carries the same keys, so it re-derives bitwise the same draws.
+  PSI_SECRET std::vector<ExecRngKey> rng_keys;
 };
 
 /// \brief What happened to an ExecRequest.
 enum class ExecOutcome : uint8_t {
-  kOk = 0,           ///< Program ran; state/rng blobs are the new checkpoint.
+  kOk = 0,           ///< Program ran; state_blob is the new checkpoint.
   kNeedState = 1,    ///< Daemon holds no matching state; resend with it.
   kError = 2,        ///< Program ran and failed (message has the status).
   kUnsupported = 3,  ///< Program unknown to this daemon's registry.
 };
 
 /// \brief The daemon's answer: outcome plus, on kOk, the daemon-side
-/// checkpoint (post-stage party state, advanced RNG snapshots, metered
-/// crypto ops).
+/// checkpoint (post-stage party state, metered crypto ops).
 struct ExecResponse {
   ExecOutcome outcome = ExecOutcome::kError;
   std::string message;       ///< Error detail for kError / kUnsupported.
   bool from_cache = false;   ///< Served from the daemon's result cache.
   uint64_t crypto_ops = 0;   ///< Ops the program metered (kOk only).
   PSI_SECRET std::vector<uint8_t> state_blob;
-  PSI_SECRET std::vector<ExecRngBlob> rng_blobs;
 };
 
 /// \brief Encodes an ExecRequest (versioned).

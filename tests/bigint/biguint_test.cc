@@ -223,6 +223,27 @@ TEST(BigUIntTest, RandomBelowStaysInRangeAndCoversIt) {
   for (int count : seen) EXPECT_GT(count, 100);  // ~200 expected each.
 }
 
+// A power-of-two bound 2^k draws k-bit candidates, all of them in range:
+// one NextU64 per value at k <= 64 and never a redraw.
+TEST(BigUIntTest, RandomBelowPowerOfTwoNeverRedraws) {
+  Rng rng(17), mirror(17);
+  const BigUInt two64 = BigUInt::PowerOfTwo(64);
+  EXPECT_EQ(BigUInt::RandomBelow(&rng, two64), BigUInt(mirror.NextU64()));
+  EXPECT_EQ(rng.NextU64(), mirror.NextU64());  // Exactly one word consumed.
+
+  const BigUInt two59 = BigUInt::PowerOfTwo(59);
+  for (int i = 0; i < 1000; ++i) {
+    ASSERT_EQ(BigUInt::RandomBelow(&rng, two59),
+              BigUInt(mirror.NextU64() & ((1ull << 59) - 1)))
+        << "draw " << i;
+  }
+  EXPECT_EQ(rng.NextU64(), mirror.NextU64());
+
+  // Bound 1 has a single value and draws nothing.
+  EXPECT_TRUE(BigUInt::RandomBelow(&rng, BigUInt(1)).IsZero());
+  EXPECT_EQ(rng.NextU64(), mirror.NextU64());
+}
+
 TEST(BigUIntTest, RandomBitsExactWidthDistribution) {
   Rng rng(1001);
   for (int i = 0; i < 50; ++i) {

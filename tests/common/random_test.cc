@@ -182,52 +182,5 @@ INSTANTIATE_TEST_SUITE_P(Bounds, UniformBoundTest,
                          ::testing::Values(1, 2, 3, 5, 7, 16, 1000,
                                            (1ull << 63) + 1));
 
-TEST(RngStateTest, SaveAndLoadReproduceTheExactStream) {
-  Rng rng(1234);
-  for (int i = 0; i < 37; ++i) rng.NextU64();  // Mid-block cursor position.
-  const std::vector<uint8_t> snapshot = rng.SaveState();
-  ASSERT_EQ(snapshot.size(), Rng::kStateBytes);
-  std::vector<uint64_t> expected(100);
-  for (auto& v : expected) v = rng.NextU64();
-
-  ASSERT_TRUE(rng.LoadState(snapshot).ok());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(rng.NextU64(), expected[i]) << "draw " << i;
-  }
-
-  // A fresh generator restored from the snapshot continues the same stream.
-  Rng other(999);
-  ASSERT_TRUE(other.LoadState(snapshot).ok());
-  for (size_t i = 0; i < expected.size(); ++i) {
-    ASSERT_EQ(other.NextU64(), expected[i]) << "draw " << i;
-  }
-}
-
-TEST(RngStateTest, LoadRejectsMalformedSnapshots) {
-  Rng rng(7);
-  std::vector<uint8_t> snapshot = rng.SaveState();
-
-  std::vector<uint8_t> truncated(snapshot.begin(), snapshot.end() - 1);
-  EXPECT_FALSE(rng.LoadState(truncated).ok());
-
-  std::vector<uint8_t> oversized = snapshot;
-  oversized.push_back(0);
-  EXPECT_FALSE(rng.LoadState(oversized).ok());
-
-  EXPECT_FALSE(rng.LoadState({}).ok());
-
-  // A corrupt cursor (past the block buffer) must be rejected, not read
-  // out of bounds. The cursor is the trailing u64.
-  std::vector<uint8_t> bad_cursor = snapshot;
-  for (size_t i = Rng::kStateBytes - 8; i < Rng::kStateBytes; ++i) {
-    bad_cursor[i] = 0xFF;
-  }
-  EXPECT_FALSE(rng.LoadState(bad_cursor).ok());
-
-  // After all the rejections the generator still works.
-  ASSERT_TRUE(rng.LoadState(snapshot).ok());
-  rng.NextU64();
-}
-
 }  // namespace
 }  // namespace psi

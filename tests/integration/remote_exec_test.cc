@@ -40,6 +40,7 @@
 
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
+#include "common/serialize.h"
 #include "graph/generators.h"
 #include "mpc/link_influence_protocol.h"
 #include "mpc/propagation_protocol.h"
@@ -342,8 +343,8 @@ TEST(ExecWireTest, RequestRoundTripsWithAndWithoutState) {
   req.party = 7;
   req.includes_state = true;
   req.state_blob = {1, 2, 3, 4, 5};
-  req.rng_blobs.emplace_back("provider0", Rng(11).SaveState());
-  req.rng_blobs.emplace_back("provider1", Rng(12).SaveState());
+  req.rng_keys.push_back({1, 2, 3, 4, 5, 6, 7, 8});
+  req.rng_keys.push_back({0xffffffffu, 0, 0, 0, 0, 0, 0, 0x80000000u});
 
   wire::ExecRequest back;
   ASSERT_TRUE(wire::UnpackExecRequest(wire::PackExecRequest(req), &back).ok());
@@ -354,17 +355,20 @@ TEST(ExecWireTest, RequestRoundTripsWithAndWithoutState) {
   EXPECT_EQ(back.party, req.party);
   EXPECT_TRUE(back.includes_state);
   EXPECT_EQ(back.state_blob, req.state_blob);
-  ASSERT_EQ(back.rng_blobs.size(), 2u);
-  EXPECT_EQ(back.rng_blobs[0], req.rng_blobs[0]);
-  EXPECT_EQ(back.rng_blobs[1], req.rng_blobs[1]);
+  EXPECT_EQ(back.rng_keys, req.rng_keys);
 
-  // RNG snapshots ride even when the state stays home.
+  // Stage keys ride even when the state stays home.
   req.includes_state = false;
   req.state_blob.clear();
   ASSERT_TRUE(wire::UnpackExecRequest(wire::PackExecRequest(req), &back).ok());
   EXPECT_FALSE(back.includes_state);
   EXPECT_TRUE(back.state_blob.empty());
-  ASSERT_EQ(back.rng_blobs.size(), 2u);
+  EXPECT_EQ(back.rng_keys, req.rng_keys);
+
+  // A stage that draws nothing ships no keys.
+  req.rng_keys.clear();
+  ASSERT_TRUE(wire::UnpackExecRequest(wire::PackExecRequest(req), &back).ok());
+  EXPECT_TRUE(back.rng_keys.empty());
 }
 
 TEST(ExecWireTest, ResponseRoundTripsCheckpointOnlyOnOk) {
@@ -374,15 +378,12 @@ TEST(ExecWireTest, ResponseRoundTripsCheckpointOnlyOnOk) {
   ok.outcome = wire::ExecOutcome::kOk;
   ok.crypto_ops = 42;
   ok.state_blob = state.Serialize();
-  ok.rng_blobs.emplace_back("provider0", Rng(5).SaveState());
 
   wire::ExecResponse back;
   ASSERT_TRUE(wire::UnpackExecResponse(wire::PackExecResponse(ok), &back).ok());
   EXPECT_EQ(back.outcome, wire::ExecOutcome::kOk);
   EXPECT_EQ(back.crypto_ops, 42u);
   EXPECT_EQ(back.state_blob, ok.state_blob);
-  ASSERT_EQ(back.rng_blobs.size(), 1u);
-  EXPECT_EQ(back.rng_blobs[0], ok.rng_blobs[0]);
 
   wire::ExecResponse err;
   err.outcome = wire::ExecOutcome::kNeedState;
@@ -392,14 +393,13 @@ TEST(ExecWireTest, ResponseRoundTripsCheckpointOnlyOnOk) {
   EXPECT_EQ(back.outcome, wire::ExecOutcome::kNeedState);
   EXPECT_EQ(back.message, err.message);
   EXPECT_TRUE(back.state_blob.empty());
-  EXPECT_TRUE(back.rng_blobs.empty());
 }
 
 TEST(ExecWireTest, DecodersRejectMalformedFrames) {
   wire::ExecRequest req;
   req.session = "s";
   req.program = "p";
-  req.rng_blobs.emplace_back("r", Rng(1).SaveState());
+  req.rng_keys.push_back({1, 2, 3, 4, 5, 6, 7, 8});
   std::vector<uint8_t> req_buf = wire::PackExecRequest(req);
   wire::ExecResponse resp;
   resp.outcome = wire::ExecOutcome::kOk;
@@ -432,6 +432,38 @@ TEST(ExecWireTest, DecodersRejectMalformedFrames) {
   // Empty.
   EXPECT_FALSE(wire::UnpackExecRequest({}, &rq).ok());
   EXPECT_FALSE(wire::UnpackExecResponse({}, &rs).ok());
+  // A key count the buffer cannot hold (32 bytes per key).
+  wire::ExecRequest keyless = req;
+  keyless.rng_keys.clear();
+  bad = wire::PackExecRequest(keyless);
+  bad.back() = 2;  // The trailing varint key count.
+  bad.resize(bad.size() + 32);
+  EXPECT_FALSE(wire::UnpackExecRequest(bad, &rq).ok());
+}
+
+// A version-1 request — RNG snapshots where version 2 has stage keys — is
+// refused with a clean Status naming both versions, never half-decoded.
+TEST(ExecWireTest, RejectsVersionOneRequests) {
+  // Version, session, program, stage index, attempt, party, includes_state,
+  // then one labelled 120-byte snapshot.
+  BinaryWriter w;
+  w.WriteU32(1);
+  w.WriteString("p4");
+  w.WriteString("p6/encrypt");
+  w.WriteU32(3);
+  w.WriteU32(1);
+  w.WriteU32(2);
+  w.WriteU8(0);
+  w.WriteVarU64(1);
+  w.WriteString("provider0");
+  w.WriteBytes(std::vector<uint8_t>(120, 0x5a));
+  wire::ExecRequest req;
+  Status status = wire::UnpackExecRequest(w.TakeBuffer(), &req);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kSerializationError);
+  EXPECT_NE(status.message().find("unsupported version 1 (want 2)"),
+            std::string::npos)
+      << status.message();
 }
 
 // ---------------------------------------------------------------------------
@@ -484,7 +516,6 @@ TEST(StageExecutorTest, ExecutesCachesAndRestoresState) {
 
   SessionState initial;
   initial.Put("x", wire::PackU64s({41}));
-  Rng rng(77);
   wire::ExecRequest req;
   req.session = "unit";
   req.program = kTestProgram;
@@ -492,20 +523,18 @@ TEST(StageExecutorTest, ExecutesCachesAndRestoresState) {
   req.party = 1;
   req.includes_state = true;
   req.state_blob = initial.Serialize();
-  req.rng_blobs.emplace_back("r", rng.SaveState());
+  req.rng_keys.push_back({77, 0, 0, 0, 0, 0, 0, 1});
 
   // Fresh run: state installed, program executed, checkpoint returned.
   wire::ExecResponse first = OpenResult(executor.Handle(SealRequest(req)));
   ASSERT_EQ(first.outcome, wire::ExecOutcome::kOk);
   EXPECT_FALSE(first.from_cache);
   EXPECT_EQ(first.crypto_ops, 1u);
-  ASSERT_EQ(first.rng_blobs.size(), 1u);
-  // The program drew from the RNG, so the returned snapshot advanced.
-  EXPECT_NE(first.rng_blobs[0].second, req.rng_blobs[0].second);
   auto after = SessionState::Deserialize(first.state_blob).ValueOrDie();
   std::vector<uint64_t> x;
   ASSERT_TRUE(wire::UnpackU64s(after.Get("x").ValueOrDie(), &x).ok());
-  Rng replay(77);
+  // The program drew from the stream the request's key starts.
+  Rng replay(req.rng_keys[0]);
   EXPECT_EQ(x[0], 41 + 1 + replay.UniformU64(10));
   EXPECT_EQ(executor.stats().executed, 1u);
   EXPECT_EQ(executor.stats().states_loaded, 1u);
@@ -520,7 +549,6 @@ TEST(StageExecutorTest, ExecutesCachesAndRestoresState) {
   ASSERT_EQ(retry.outcome, wire::ExecOutcome::kOk);
   EXPECT_TRUE(retry.from_cache);
   EXPECT_EQ(retry.state_blob, first.state_blob);
-  EXPECT_EQ(retry.rng_blobs, first.rng_blobs);
   EXPECT_EQ(executor.stats().executed, 1u);
   EXPECT_EQ(executor.stats().cache_hits, 1u);
 

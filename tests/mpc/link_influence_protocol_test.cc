@@ -137,6 +137,33 @@ TEST(Protocol4Test, HostMaskedViewsHideCounters) {
   EXPECT_LE(equal, 1u);  // r_i == 1.0 exactly is measure-zero.
 }
 
+TEST(Protocol4Test, SessionsOnTheSameGeneratorsDrawFreshOmegaAndMasks) {
+  // Each session takes one key per caller generator, so a second session on
+  // the same Rng objects draws a new Omega_E' and new masks — and the same
+  // seeds replayed from scratch reproduce the first session exactly.
+  P4Fixture f(3, 30, 120, 40);
+  Protocol4Config cfg;
+  auto run = [&](P4Fixture* fx) {
+    LinkInfluenceProtocol proto(&fx->net, fx->host, fx->providers, cfg);
+    auto out = proto.Run(*fx->graph, 40, fx->provider_logs,
+                         fx->host_rng.get(), fx->RngPtrs(),
+                         fx->pair_secret.get());
+    EXPECT_TRUE(out.ok());
+    return proto.views();
+  };
+  const Protocol4Views first = run(&f);
+  const Protocol4Views second = run(&f);
+  EXPECT_NE(first.omega, second.omega);
+  EXPECT_NE(first.host_masked_a, second.host_masked_a);
+  EXPECT_NE(first.host_masked_b, second.host_masked_b);
+
+  P4Fixture replay(3, 30, 120, 40);
+  const Protocol4Views again = run(&replay);
+  EXPECT_EQ(again.omega, first.omega);
+  EXPECT_EQ(again.host_masked_a, first.host_masked_a);
+  EXPECT_EQ(again.host_masked_b, first.host_masked_b);
+}
+
 TEST(Protocol4Test, ModulusAutoSizingTracksProblemSize) {
   P4Fixture small(2, 10, 30, 10);
   P4Fixture large(2, 10, 30, 10);

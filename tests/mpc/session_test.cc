@@ -1,5 +1,6 @@
 // Unit tests for the session/recovery layer (mpc/session.h): durable state
-// serialization, retry orchestration, RNG rewind, and the crypto-op ledger.
+// serialization, retry orchestration, derived stage streams, and the
+// crypto-op ledger.
 
 #include "mpc/session.h"
 
@@ -15,21 +16,18 @@ namespace {
 
 std::vector<uint8_t> Bytes(std::initializer_list<uint8_t> v) { return v; }
 
-TEST(SessionStateTest, PutGetHasClear) {
+TEST(SessionStateTest, PutGetHas) {
   SessionState state;
   EXPECT_FALSE(state.Has("omega"));
-  EXPECT_EQ(state.NumEntries(), 0u);
+  EXPECT_EQ(state.ByteSize(), 0u);
   state.Put("omega", Bytes({1, 2, 3}));
   state.Put("masks", Bytes({9}));
   EXPECT_TRUE(state.Has("omega"));
-  EXPECT_EQ(state.NumEntries(), 2u);
   EXPECT_EQ(state.ByteSize(), 5u + 5u + 3u + 1u);  // keys 5+5, values 3+1.
   EXPECT_EQ(state.Get("omega").ValueOrDie(), Bytes({1, 2, 3}));
   state.Put("omega", Bytes({7}));  // Overwrite.
   EXPECT_EQ(state.Get("omega").ValueOrDie(), Bytes({7}));
-  state.Clear();
-  EXPECT_EQ(state.NumEntries(), 0u);
-  EXPECT_FALSE(state.Has("omega"));
+  EXPECT_EQ(state.ByteSize(), 5u + 5u + 1u + 1u);
 }
 
 TEST(SessionStateTest, GetMissingKeyIsFailedPrecondition) {
@@ -45,7 +43,7 @@ TEST(SessionStateTest, SerializeRoundTrips) {
   state.Put("counters", Bytes({0, 255, 128}));
   state.Put("pubkey", std::vector<uint8_t>(300, 0x5a));
   auto restored = SessionState::Deserialize(state.Serialize()).ValueOrDie();
-  EXPECT_EQ(restored.NumEntries(), 3u);
+  EXPECT_EQ(restored.ByteSize(), state.ByteSize());
   EXPECT_EQ(restored.Get("a").ValueOrDie(), Bytes({}));
   EXPECT_EQ(restored.Get("counters").ValueOrDie(), Bytes({0, 255, 128}));
   EXPECT_EQ(restored.Get("pubkey").ValueOrDie(),
@@ -56,7 +54,7 @@ TEST(SessionStateTest, SerializeRoundTrips) {
 
 TEST(SessionStateTest, EmptyStateRoundTrips) {
   auto restored = SessionState::Deserialize(SessionState().Serialize());
-  EXPECT_EQ(restored.ValueOrDie().NumEntries(), 0u);
+  EXPECT_EQ(restored.ValueOrDie().Serialize(), SessionState().Serialize());
 }
 
 TEST(SessionStateTest, DeserializeRejectsTruncationAtEveryPrefix) {
@@ -235,28 +233,97 @@ TEST(SessionOrchestratorTest, FullRestartBaselineRecomputesOps) {
   EXPECT_EQ(stats.stages_resumed, 0u);
 }
 
-TEST(SessionOrchestratorTest, RngRewindReplaysIdenticalDraws) {
+TEST(SessionOrchestratorTest, FailedStageReplaysIdenticalDraws) {
   TestWorld w;
   Rng rng(42);
   ProtocolSession session("t", &w.net, {w.alice, w.bob});
   session.RegisterRng("shared", &rng);
-  uint64_t first_draw = 0, second_draw = 0;
-  int runs = 0;
+  std::vector<std::vector<uint64_t>> draws;
   session.AddStage("one", [&] { return Status::OK(); });
   session.AddStage("draws", [&] {
-    ++runs;
-    if (runs == 1) {
-      first_draw = rng.NextU64();
-      return Status::ProtocolError("fail after drawing");
-    }
-    second_draw = rng.NextU64();
+    Rng* stream = session.StageRng("shared");
+    draws.push_back({stream->NextU64(), stream->NextU64()});
+    return draws.size() == 1 ? Status::ProtocolError("fail after drawing")
+                             : Status::OK();
+  });
+  SessionOrchestrator orchestrator(RetryPolicy{});
+  ASSERT_TRUE(orchestrator.Run(&session).ok());
+  // The replay re-derives the stage's stream from its start, with nothing
+  // snapshotted: that is what makes recovered transcripts converge bitwise.
+  ASSERT_EQ(draws.size(), 2u);
+  EXPECT_EQ(draws[1], draws[0]);
+}
+
+TEST(SessionOrchestratorTest, StreamsArePerStageAndLabel) {
+  TestWorld w;
+  Rng a(7), b(8);
+  ProtocolSession session("t", &w.net, {w.alice, w.bob});
+  session.RegisterRng("a", &a);
+  session.RegisterRng("b", &b);
+  std::vector<uint64_t> first;
+  std::vector<uint64_t> second;
+  session.AddStage("one", [&] {
+    first = {session.StageRng("a")->NextU64(),
+             session.StageRng("b")->NextU64()};
+    // A daemon-run program, keyed by StageRngKey, draws what StageRng draws.
+    Rng rebuilt(session.StageRngKey("a").ValueOrDie());
+    EXPECT_EQ(rebuilt.NextU64(), first[0]);
+    EXPECT_EQ(session.StageRng("unregistered"), nullptr);
+    EXPECT_FALSE(session.StageRngKey("unregistered").ok());
+    return Status::OK();
+  });
+  session.AddStage("two", [&] {
+    second = {session.StageRng("a")->NextU64(),
+              session.StageRng("b")->NextU64()};
     return Status::OK();
   });
   SessionOrchestrator orchestrator(RetryPolicy{});
   ASSERT_TRUE(orchestrator.Run(&session).ok());
-  // The checkpoint rewound the stream: the replay re-derives the same bits,
-  // which is what makes recovered transcripts converge bitwise.
-  EXPECT_EQ(second_draw, first_draw);
+  EXPECT_NE(first[0], first[1]);
+  EXPECT_NE(first[0], second[0]);
+  EXPECT_NE(first[1], second[1]);
+}
+
+TEST(SessionOrchestratorTest, RegisteringTakesOneKeyFromTheCallerStream) {
+  Rng rng(42), mirror(42);
+  std::vector<uint64_t> draws;
+  for (int run = 0; run < 2; ++run) {
+    TestWorld w;
+    ProtocolSession session("t", &w.net, {w.alice, w.bob});
+    session.RegisterRng("shared", &rng);
+    session.AddStage("draws", [&] {
+      draws.push_back(session.StageRng("shared")->NextU64());
+      return Status::OK();
+    });
+    SessionOrchestrator orchestrator(RetryPolicy{});
+    ASSERT_TRUE(orchestrator.Run(&session).ok());
+    // The session's 256-bit key is the only draw from the caller's stream.
+    for (int word = 0; word < 8; ++word) mirror.NextU32();
+    EXPECT_EQ(rng.NextU64(), mirror.NextU64());
+  }
+  // Back-to-back sessions on one generator draw fresh randomness.
+  ASSERT_EQ(draws.size(), 2u);
+  EXPECT_NE(draws[0], draws[1]);
+}
+
+TEST(SessionOrchestratorTest, RejectsDuplicateStageNames) {
+  TestWorld w;
+  ProtocolSession session("dup", &w.net, {w.alice, w.bob});
+  int runs = 0;
+  session.AddStage("masks", [&] {
+    ++runs;
+    return Status::OK();
+  });
+  session.AddStage("masks", [&] {
+    ++runs;
+    return Status::OK();
+  });
+  SessionOrchestrator orchestrator(RetryPolicy{});
+  Status status = orchestrator.Run(&session);
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("'masks'"), std::string::npos);
+  EXPECT_EQ(runs, 0);  // Rejected before any stage ran.
 }
 
 TEST(SessionOrchestratorTest, RestoreDiscardsFailedAttemptStateWrites) {
