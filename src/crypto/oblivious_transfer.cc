@@ -11,6 +11,11 @@ namespace psi {
 
 namespace {
 
+// Step tags for ProtocolId::kObliviousTransfer frames, one per round.
+constexpr uint16_t kStepElements = 1;   // S -> R: x vectors.
+constexpr uint16_t kStepBlinded = 2;    // R -> S: blinded choices.
+constexpr uint16_t kStepEncrypted = 3;  // S -> R: encrypted messages.
+
 // Derives a ChaCha20 pad of `len` bytes from a group element.
 std::vector<uint8_t> PadFromElement(const BigUInt& element, size_t len) {
   auto digest = Sha256::Hash(element.ToLittleEndianBytes());
@@ -86,9 +91,14 @@ Result<std::vector<std::vector<uint8_t>>> RunObliviousTransfers(
         WriteBigUInt(&w, x);
       }
     }
-    PSI_RETURN_NOT_OK(network->Send(sender, receiver, w.TakeBuffer()));
+    PSI_RETURN_NOT_OK(network->SendFramed(sender, receiver,
+                                          ProtocolId::kObliviousTransfer,
+                                          kStepElements, w.TakeBuffer()));
   }
-  PSI_ASSIGN_OR_RETURN(auto r1_buf, network->Recv(receiver, sender));
+  PSI_ASSIGN_OR_RETURN(auto r1_buf,
+                       network->RecvValidated(receiver, sender,
+                                              ProtocolId::kObliviousTransfer,
+                                              kStepElements));
   std::vector<std::vector<BigUInt>> r_xs(num_transfers);
   {
     BinaryReader r(r1_buf);
@@ -102,6 +112,7 @@ Result<std::vector<std::vector<uint8_t>>> RunObliviousTransfers(
       vec.resize(count_n);
       for (auto& x : vec) PSI_RETURN_NOT_OK(ReadBigUInt(&r, &x));
     }
+    if (!r.AtEnd()) return Status::ProtocolError("OT round-1 trailing bytes");
   }
 
   // Round 2: receiver blinds its choices: v = x_b + k^e.
@@ -117,9 +128,14 @@ Result<std::vector<std::vector<uint8_t>>> RunObliviousTransfers(
       BigUInt v = ModAdd(r_xs[t][choices[t]] % modulus, k_enc, modulus);
       WriteBigUInt(&w, v);
     }
-    PSI_RETURN_NOT_OK(network->Send(receiver, sender, w.TakeBuffer()));
+    PSI_RETURN_NOT_OK(network->SendFramed(receiver, sender,
+                                          ProtocolId::kObliviousTransfer,
+                                          kStepBlinded, w.TakeBuffer()));
   }
-  PSI_ASSIGN_OR_RETURN(auto r2_buf, network->Recv(sender, receiver));
+  PSI_ASSIGN_OR_RETURN(auto r2_buf,
+                       network->RecvValidated(sender, receiver,
+                                              ProtocolId::kObliviousTransfer,
+                                              kStepBlinded));
   std::vector<BigUInt> vs(num_transfers);
   {
     BinaryReader r(r2_buf);
@@ -128,7 +144,13 @@ Result<std::vector<std::vector<uint8_t>>> RunObliviousTransfers(
     if (t != num_transfers) {
       return Status::ProtocolError("OT round-2 shape mismatch");
     }
-    for (auto& v : vs) PSI_RETURN_NOT_OK(ReadBigUInt(&r, &v));
+    for (auto& v : vs) {
+      PSI_RETURN_NOT_OK(ReadBigUInt(&r, &v));
+      if (v >= modulus) {
+        return Status::ProtocolError("OT round-2 blinded choice out of range");
+      }
+    }
+    if (!r.AtEnd()) return Status::ProtocolError("OT round-2 trailing bytes");
   }
 
   // Round 3: sender encrypts every message under every candidate key.
@@ -151,11 +173,16 @@ Result<std::vector<std::vector<uint8_t>>> RunObliviousTransfers(
         w.WriteRaw(ct.data(), ct.size());
       }
     }
-    PSI_RETURN_NOT_OK(network->Send(sender, receiver, w.TakeBuffer()));
+    PSI_RETURN_NOT_OK(network->SendFramed(sender, receiver,
+                                          ProtocolId::kObliviousTransfer,
+                                          kStepEncrypted, w.TakeBuffer()));
   }
 
   // Receiver decrypts its chosen slots.
-  PSI_ASSIGN_OR_RETURN(auto r3_buf, network->Recv(receiver, sender));
+  PSI_ASSIGN_OR_RETURN(auto r3_buf,
+                       network->RecvValidated(receiver, sender,
+                                              ProtocolId::kObliviousTransfer,
+                                              kStepEncrypted));
   BinaryReader r(r3_buf);
   uint64_t t_count, n_msgs, plen;
   PSI_RETURN_NOT_OK(r.ReadVarU64(&t_count));
@@ -163,6 +190,11 @@ Result<std::vector<std::vector<uint8_t>>> RunObliviousTransfers(
   PSI_RETURN_NOT_OK(r.ReadVarU64(&plen));
   if (t_count != num_transfers || n_msgs != count_n) {
     return Status::ProtocolError("OT round-3 shape mismatch");
+  }
+  // Every slot is plen bytes of this frame: a length the frame cannot hold
+  // is rejected before it sizes an allocation.
+  if (plen > r.remaining()) {
+    return Status::ProtocolError("OT round-3 slot length exceeds the frame");
   }
   std::vector<std::vector<uint8_t>> out;
   out.reserve(num_transfers);
@@ -186,6 +218,7 @@ Result<std::vector<std::vector<uint8_t>>> RunObliviousTransfers(
     PSI_ASSIGN_OR_RETURN(auto message, UnpadMessage(chosen));
     out.push_back(std::move(message));
   }
+  if (!r.AtEnd()) return Status::ProtocolError("OT round-3 trailing bytes");
   return out;
 }
 

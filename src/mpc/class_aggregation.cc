@@ -13,9 +13,9 @@ namespace psi {
 
 namespace {
 
-uint64_t PairKey(NodeId i, NodeId j) {
-  return (static_cast<uint64_t>(i) << 32) | j;
-}
+// Step tags for ProtocolId::kClassAggregation frames.
+constexpr uint16_t kStepObfuscatedLogs = 2;  // P_k -> P-hat: obfuscated log.
+constexpr uint16_t kStepCounters = 5;        // P-hat -> representative.
 
 }  // namespace
 
@@ -94,7 +94,7 @@ ClassAggregationProtocol::ClassAggregationProtocol(Network* network,
 Result<AggregatedClassCounters> ClassAggregationProtocol::Run(
     const std::vector<ActionLog>& class_logs, size_t num_users,
     Rng* group_secret_rng, const std::string& label_prefix) {
-  return DrainOnError(
+  return DrainAfterRun(
       network_, RunImpl(class_logs, num_users, group_secret_rng, label_prefix));
 }
 
@@ -189,14 +189,18 @@ Result<AggregatedClassCounters> ClassAggregationProtocol::RunImpl(
     // Shuffle so record order reveals nothing about real-vs-fake.
     Rng shuffle_rng = group_secret_rng->Fork("shuffle-" + std::to_string(k));
     shuffle_rng.Shuffle(&obf);
-    PSI_RETURN_NOT_OK(network_->Send(group_[k], aggregator_, wire::PackRecords(obf)));
+    PSI_RETURN_NOT_OK(network_->SendFramed(group_[k], aggregator_,
+                                           ProtocolId::kClassAggregation,
+                                           kStepObfuscatedLogs, wire::PackRecords(obf)));
   }
 
   // ---- Steps 3-4: the aggregator merges and counts. ----
   std::vector<ActionRecord> merged;
   views_.aggregator_logs.clear();
   for (size_t k = 0; k < d; ++k) {
-    PSI_ASSIGN_OR_RETURN(auto buf, network_->Recv(aggregator_, group_[k]));
+    PSI_ASSIGN_OR_RETURN(auto buf, network_->RecvValidated(aggregator_, group_[k],
+                                                           ProtocolId::kClassAggregation,
+                                                           kStepObfuscatedLogs));
     std::vector<ActionRecord> records;
     PSI_RETURN_NOT_OK(wire::UnpackRecords(buf, &records));
     views_.aggregator_logs.push_back(records);
@@ -233,26 +237,39 @@ Result<AggregatedClassCounters> ClassAggregationProtocol::RunImpl(
 
   // ---- Step 5: nonzero counters return to the representative. ----
   network_->BeginRound(label_prefix + "P5.Step5 (counters to representative)");
-  PSI_RETURN_NOT_OK(network_->Send(aggregator_, group_[0],
-                                   internal::PackCounters(counters, config_.h)));
+  PSI_RETURN_NOT_OK(network_->SendFramed(aggregator_, group_[0],
+                                         ProtocolId::kClassAggregation, kStepCounters,
+                                         internal::PackCounters(counters, config_.h)));
 
   // ---- Step 6: the representative recovers the true counters. ----
-  PSI_ASSIGN_OR_RETURN(auto buf, network_->Recv(group_[0], aggregator_));
+  PSI_ASSIGN_OR_RETURN(auto buf, network_->RecvValidated(group_[0], aggregator_,
+                                                         ProtocolId::kClassAggregation,
+                                                         kStepCounters));
   internal::ObfuscatedCounters received;
   PSI_RETURN_NOT_OK(internal::UnpackCounters(buf, config_.h, &received));
 
+  // Obfuscated ids come from P-hat: one outside the injection's codomain is
+  // a protocol violation, not a fake user.
+  auto invert = [&](uint32_t obf_user) -> Result<size_t> {
+    if (obf_user >= user_map.codomain_size()) {
+      return Status::ProtocolError(
+          "Protocol 5 counters from aggregator " + network_->party_name(aggregator_) +
+          " name obfuscated user " + std::to_string(obf_user) + " outside [0, " +
+          std::to_string(user_map.codomain_size()) + ")");
+    }
+    return user_map.InvertOrFake(obf_user);
+  };
   AggregatedClassCounters out;
   out.a.assign(num_users, 0);
   for (const auto& [obf_user, count] : received.a) {
-    size_t real = user_map.InvertOrFake(obf_user);
+    PSI_ASSIGN_OR_RETURN(size_t real, invert(obf_user));
     if (real == SIZE_MAX) continue;  // Fake user: discard.
     out.a[real] += count;
   }
   for (const auto& [key, by_delay] : received.c) {
-    auto i_obf = static_cast<uint32_t>(key >> 32);
-    auto j_obf = static_cast<uint32_t>(key & 0xffffffffu);
-    size_t i_real = user_map.InvertOrFake(i_obf);
-    size_t j_real = user_map.InvertOrFake(j_obf);
+    PSI_ASSIGN_OR_RETURN(size_t i_real, invert(static_cast<uint32_t>(key >> 32)));
+    PSI_ASSIGN_OR_RETURN(size_t j_real,
+                         invert(static_cast<uint32_t>(key & 0xffffffffu)));
     if (i_real == SIZE_MAX || j_real == SIZE_MAX) continue;
     auto [it, inserted] = out.c_by_delay.try_emplace(
         PairKey(static_cast<NodeId>(i_real), static_cast<NodeId>(j_real)),

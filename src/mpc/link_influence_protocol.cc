@@ -17,10 +17,6 @@ namespace psi {
 
 namespace {
 
-uint64_t PairKey(NodeId i, NodeId j) {
-  return (static_cast<uint64_t>(i) << 32) | j;
-}
-
 // Step tags for ProtocolId::kLinkInfluence frames.
 constexpr uint16_t kStepOmega = 2;          // H -> P_k: Omega_E'.
 constexpr uint16_t kStepMaskedShares = 7;   // P1/P2 -> H: masked shares.
@@ -175,6 +171,143 @@ Result<std::vector<uint64_t>> ComputeProviderCounterVector(
   return counters;
 }
 
+Result<std::vector<ReceivedOmega>> PublishOmega(
+    Network* network, PartyId host, const std::vector<PartyId>& providers,
+    const std::vector<uint8_t>& packed_omega, size_t n) {
+  for (PartyId provider : providers) {
+    PSI_RETURN_NOT_OK(network->SendFramed(host, provider, ProtocolId::kLinkInfluence,
+                                          kStepOmega, packed_omega));
+  }
+  // Every provider decodes and validates the arc set it received.
+  std::vector<ReceivedOmega> received(providers.size());
+  for (size_t k = 0; k < providers.size(); ++k) {
+    PSI_ASSIGN_OR_RETURN(received[k].payload,
+                         network->RecvValidated(providers[k], host,
+                                                ProtocolId::kLinkInfluence, kStepOmega));
+    PSI_RETURN_NOT_OK(wire::UnpackArcs(received[k].payload, &received[k].arcs));
+    for (const Arc& a : received[k].arcs) {
+      if (a.from >= n || a.to >= n) {
+        return Status::ProtocolError("Omega_E' arc endpoint out of range at " +
+                                     network->party_name(providers[k]));
+      }
+    }
+  }
+  return received;
+}
+
+BigUInt CounterBound(const Protocol4Config& config, uint64_t num_actions_public) {
+  BigUInt bound(num_actions_public);
+  if (config.weights.has_value()) {
+    bound = bound * BigUInt(config.weight_scale) * BigUInt(config.h);
+  }
+  return bound;
+}
+
+SecureSumProtocol CounterSecureSum(
+    Network* network, PartyId host, const std::vector<PartyId>& providers,
+    const Protocol4Config& config, const BigUInt& bound, size_t num_counters) {
+  SecureSumConfig sum_config;
+  sum_config.modulus_s =
+      config.modulus_s.has_value()
+          ? *config.modulus_s
+          : RecommendedModulus(bound, num_counters, config.epsilon_log2);
+  sum_config.input_bound_a = bound;
+  sum_config.use_secret_permutation = config.use_secret_permutation;
+  PartyId third_party = (providers.size() > 2) ? providers[2] : host;
+  return SecureSumProtocol(network, providers, third_party, std::move(sum_config));
+}
+
+Result<std::vector<BigUInt>> DrawJointMasks(
+    Network* network, PartyId p1, PartyId p2, size_t count, Rng* rng1, Rng* rng2,
+    size_t fraction_bits, const std::string& label_prefix) {
+  PSI_ASSIGN_OR_RETURN(auto u_m, JointUniformBatch(network, p1, p2, count, rng1, rng2,
+                                                   label_prefix + "Step5 (joint M_i)"));
+  std::vector<double> m_values = ToZDistribution(u_m);
+  PSI_ASSIGN_OR_RETURN(auto u_r, JointUniformBatch(network, p1, p2, count, rng1, rng2,
+                                                   label_prefix + "Step6 (joint r_i)"));
+  PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
+
+  // Fixed-point masks R_i = floor(r_i * 2^fraction_bits), never zero.
+  PSI_SECRET std::vector<BigUInt> masks;
+  masks.resize(count);
+  for (size_t i = 0; i < count; ++i) {
+    PSI_ASSIGN_OR_RETURN(
+        masks[i],
+        BigUIntFromDouble(std::ldexp(r_values[i], static_cast<int>(fraction_bits))));
+    // psi-lint: allow(secret-flow) zero test only nudges the mask to 1 so the later division is defined; it leaks one bit with probability ~2^-fraction_bits
+    if (masks[i].IsZero()) masks[i] = BigUInt(1);
+  }
+  return masks;
+}
+
+Result<HostMaskedShares> SendMaskedShares(Network* network, PartyId p1, PartyId p2,
+                                          PartyId host,
+                                          const BatchedIntegerShares& masked,
+                                          size_t total) {
+  PSI_RETURN_NOT_OK(network->SendFramed(p1, host, ProtocolId::kLinkInfluence,
+                                        kStepMaskedShares,
+                                        wire::PackBigUInts(masked.s1)));
+  PSI_RETURN_NOT_OK(network->SendFramed(p2, host, ProtocolId::kLinkInfluence,
+                                        kStepMaskedShares,
+                                        wire::PackBigInts(masked.s2)));
+  HostMaskedShares got;
+  PSI_ASSIGN_OR_RETURN(got.payload1,
+                       network->RecvValidated(host, p1, ProtocolId::kLinkInfluence,
+                                              kStepMaskedShares));
+  PSI_ASSIGN_OR_RETURN(got.payload2,
+                       network->RecvValidated(host, p2, ProtocolId::kLinkInfluence,
+                                              kStepMaskedShares));
+  PSI_RETURN_NOT_OK(wire::UnpackBigUInts(got.payload1, &got.shares.s1));
+  PSI_RETURN_NOT_OK(wire::UnpackBigInts(got.payload2, &got.shares.s2));
+  if (got.shares.s1.size() != total || got.shares.s2.size() != total) {
+    return Status::ProtocolError("masked share vectors have wrong length");
+  }
+  return got;
+}
+
+Result<std::vector<BigUInt>> RecombineMaskedShares(const BatchedIntegerShares& masked,
+                                                   size_t total) {
+  if (masked.s1.size() != total || masked.s2.size() != total) {
+    return Status::ProtocolError("masked share vectors have wrong length");
+  }
+  // Recombined masked counters: R_i * a_i and R_i * numerator_ij, exact.
+  std::vector<BigUInt> recombined(total);
+  PSI_RETURN_NOT_OK(ParallelForStatus(total, [&](size_t c) -> Status {
+    BigInt value = BigInt(masked.s1[c]) + masked.s2[c];
+    if (value.IsNegative()) {
+      return Status::ProtocolError("negative recombined masked counter");
+    }
+    recombined[c] = value.magnitude();
+    return Status::OK();
+  }));
+  return recombined;
+}
+
+Result<LinkInfluence> DivideMaskedCounters(
+    const std::vector<Arc>& arcs, const std::vector<Arc>& omega, const BigUInt* masked_a,
+    const BigUInt* masked_numerators, double descale) {
+  // H evaluates quotients only for the genuine arcs of E.
+  std::unordered_map<uint64_t, size_t> omega_index;
+  omega_index.reserve(omega.size());
+  for (size_t p = 0; p < omega.size(); ++p) {
+    omega_index.emplace(PairKey(omega[p].from, omega[p].to), p);
+  }
+  LinkInfluence out;
+  out.pairs = arcs;
+  out.p.resize(arcs.size());
+  for (size_t e = 0; e < arcs.size(); ++e) {
+    auto it = omega_index.find(PairKey(arcs[e].from, arcs[e].to));
+    if (it == omega_index.end()) {
+      return Status::ProtocolError("arc of E missing from Omega_E'");
+    }
+    const BigUInt& denom = masked_a[arcs[e].from];
+    out.p[e] = denom.IsZero()
+                   ? 0.0
+                   : DivideToDouble(masked_numerators[it->second], denom) / descale;
+  }
+  return out;
+}
+
 LinkInfluenceProtocol::LinkInfluenceProtocol(Network* network, PartyId host,
                                              std::vector<PartyId> providers,
                                              Protocol4Config config)
@@ -268,26 +401,13 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
 
     network_->BeginRound("P4.Step2 (H -> P_k: Omega_E')");
     auto packed_omega = wire::PackArcs(omega);
+    PSI_ASSIGN_OR_RETURN(
+        std::vector<ReceivedOmega> received,
+        PublishOmega(network_, host_, providers_, packed_omega, n));
+    session.PartyState(host_).Put(kKeyOmega, std::move(packed_omega));
     for (size_t k = 0; k < m; ++k) {
-      PSI_RETURN_NOT_OK(network_->SendFramed(host_, providers_[k],
-                                             ProtocolId::kLinkInfluence,
-                                             kStepOmega, packed_omega));
-    }
-    session.PartyState(host_).Put(kKeyOmega, packed_omega);
-    // Every provider decodes and validates the arc set it received.
-    for (size_t k = 0; k < m; ++k) {
-      PSI_ASSIGN_OR_RETURN(
-          auto buf, network_->RecvValidated(providers_[k], host_,
-                                            ProtocolId::kLinkInfluence,
-                                            kStepOmega));
-      std::vector<Arc> provider_omega;
-      PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &provider_omega));
-      for (const Arc& a : provider_omega) {
-        if (a.from >= n || a.to >= n) {
-          return Status::ProtocolError("Omega_E' arc endpoint out of range");
-        }
-      }
-      session.PartyState(providers_[k]).Put(kKeyOmega, std::move(buf));
+      session.PartyState(providers_[k])
+          .Put(kKeyOmega, std::move(received[k].payload));
     }
     return Status::OK();
   });
@@ -335,12 +455,7 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
     }
     const size_t q = inputs[0].size() - n;
 
-    // Counter bound A (public): |A| actions, times the weight scale ceiling
-    // for the Eq. (2) variant.
-    BigUInt bound(num_actions_public);
-    if (config_.weights.has_value()) {
-      bound = bound * BigUInt(config_.weight_scale) * BigUInt(config_.h);
-    }
+    const BigUInt bound = CounterBound(config_, num_actions_public);
 
     // Packed Paillier aggregation applies only when the public bound A holds
     // for every actual input (never assume — a violation would silently
@@ -381,16 +496,9 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
       views_.used_packed_aggregation = true;
       views_.packed_slots = hsum.last_run_slots();
     } else {
-      modulus_ = config_.modulus_s.has_value()
-                     ? *config_.modulus_s
-                     : RecommendedModulus(bound, n + q, config_.epsilon_log2);
-      SecureSumConfig sum_config;
-      sum_config.modulus_s = modulus_;
-      sum_config.input_bound_a = bound;
-      sum_config.use_secret_permutation = config_.use_secret_permutation;
-      PartyId third_party = (m > 2) ? providers_[2] : host_;
-      SecureSumProtocol secure_sum(network_, providers_, third_party,
-                                   sum_config);
+      SecureSumProtocol secure_sum = CounterSecureSum(
+          network_, host_, providers_, config_, bound, n + q);
+      modulus_ = secure_sum.modulus();
       PSI_ASSIGN_OR_RETURN(
           shares,
           secure_sum.RunProtocol2(inputs, provider_stage_rngs(),
@@ -406,29 +514,12 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
 
   // ---- Steps 5-6: joint per-user masks M_i ~ Z and r_i ~ U(0, M_i). ----
   session.AddStage("masks", [&, this]() -> Status {
-    Rng* rng0 = session.StageRng("provider0");
-    Rng* rng1 = session.StageRng("provider1");
-    PSI_ASSIGN_OR_RETURN(
-        auto u_m, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                    rng0, rng1, "P4.Step5 (joint M_i)"));
-    std::vector<double> m_values = ToZDistribution(u_m);
-    PSI_ASSIGN_OR_RETURN(
-        auto u_r, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                    rng0, rng1, "P4.Step6 (joint r_i)"));
-    PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
-
-    // Fixed-point masks R_i = floor(r_i * 2^fraction_bits), never zero.
     PSI_SECRET std::vector<BigUInt> masks;
-    masks.resize(n);
-    for (size_t i = 0; i < n; ++i) {
-      PSI_ASSIGN_OR_RETURN(
-          masks[i],
-          BigUIntFromDouble(
-              std::ldexp(r_values[i],
-                         static_cast<int>(config_.fraction_bits))));
-      // psi-lint: allow(secret-flow) zero test only nudges the mask to 1 so the later division is defined; it leaks one bit with probability ~2^-fraction_bits
-      if (masks[i].IsZero()) masks[i] = BigUInt(1);
-    }
+    PSI_ASSIGN_OR_RETURN(
+        masks, DrawJointMasks(network_, providers_[0], providers_[1], n,
+                              session.StageRng("provider0"),
+                              session.StageRng("provider1"),
+                              config_.fraction_bits, "P4."));
     auto packed_masks = wire::PackBigUInts(masks);
     session.PartyState(providers_[0]).Put(kKeyMasks, packed_masks);
     session.PartyState(providers_[1]).Put(kKeyMasks, std::move(packed_masks));
@@ -451,63 +542,33 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
                            session.PartyState(providers_[0]).Get(kKeyMasks));
       PSI_RETURN_NOT_OK(wire::UnpackBigUInts(buf, &masks));
     }
-    std::vector<BigUInt> s1;
-    std::vector<BigInt> s2;
+    BatchedIntegerShares shares;
     {
       PSI_ASSIGN_OR_RETURN(auto buf,
                            session.PartyState(providers_[0]).Get(kKeyShare1));
-      PSI_RETURN_NOT_OK(wire::UnpackBigUInts(buf, &s1));
+      PSI_RETURN_NOT_OK(wire::UnpackBigUInts(buf, &shares.s1));
     }
     {
       PSI_ASSIGN_OR_RETURN(auto buf,
                            session.PartyState(providers_[1]).Get(kKeyShare2));
-      PSI_RETURN_NOT_OK(wire::UnpackBigInts(buf, &s2));
+      PSI_RETURN_NOT_OK(wire::UnpackBigInts(buf, &shares.s2));
     }
-    if (masks.size() != n || s1.size() != total || s2.size() != total) {
+    if (masks.size() != n || shares.s1.size() != total ||
+        shares.s2.size() != total) {
       return Status::Internal("checkpointed stage state has wrong geometry");
     }
 
     // The user governing counter c: i for a_i (c < n), arc source for pairs.
-    auto mask_of_counter = [&](size_t c) -> const BigUInt& {
-      return c < n ? masks[c] : masks[omega[c - n].from];
-    };
-
-    // Pure big-integer products over already-drawn masks: the per-link loop
-    // fans out with no effect on the transcript.
-    std::vector<BigUInt> masked1(total);
-    std::vector<BigInt> masked2(total);
-    ParallelFor(total, [&](size_t c) {
-      masked1[c] = mask_of_counter(c) * s1[c];
-      masked2[c] = BigInt(mask_of_counter(c)) * s2[c];
-    });
+    BatchedIntegerShares masked =
+        MaskShares(shares, [&](size_t c) -> const BigUInt& {
+          return c < n ? masks[c] : masks[omega[c - n].from];
+        });
     network_->BeginRound("P4.Steps7-8 (masked shares -> H)");
-    PSI_RETURN_NOT_OK(network_->SendFramed(providers_[0], host_,
-                                           ProtocolId::kLinkInfluence,
-                                           kStepMaskedShares,
-                                           wire::PackBigUInts(masked1)));
-    PSI_RETURN_NOT_OK(network_->SendFramed(providers_[1], host_,
-                                           ProtocolId::kLinkInfluence,
-                                           kStepMaskedShares,
-                                           wire::PackBigInts(masked2)));
-    PSI_ASSIGN_OR_RETURN(
-        auto buf1, network_->RecvValidated(host_, providers_[0],
-                                           ProtocolId::kLinkInfluence,
-                                           kStepMaskedShares));
-    PSI_ASSIGN_OR_RETURN(
-        auto buf2, network_->RecvValidated(host_, providers_[1],
-                                           ProtocolId::kLinkInfluence,
-                                           kStepMaskedShares));
-    {
-      std::vector<BigUInt> host_m1;
-      std::vector<BigInt> host_m2;
-      PSI_RETURN_NOT_OK(wire::UnpackBigUInts(buf1, &host_m1));
-      PSI_RETURN_NOT_OK(wire::UnpackBigInts(buf2, &host_m2));
-      if (host_m1.size() != total || host_m2.size() != total) {
-        return Status::ProtocolError("masked share vectors have wrong length");
-      }
-    }
-    session.PartyState(host_).Put(kKeyMasked1, std::move(buf1));
-    session.PartyState(host_).Put(kKeyMasked2, std::move(buf2));
+    PSI_ASSIGN_OR_RETURN(HostMaskedShares got,
+                         SendMaskedShares(network_, providers_[0],
+                                          providers_[1], host_, masked, total));
+    session.PartyState(host_).Put(kKeyMasked1, std::move(got.payload1));
+    session.PartyState(host_).Put(kKeyMasked2, std::move(got.payload2));
     return Status::OK();
   });
 
@@ -521,73 +582,38 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
     }
     const size_t q = omega.size();
     const size_t total = n + q;
-    std::vector<BigUInt> host_m1;
-    std::vector<BigInt> host_m2;
+    BatchedIntegerShares host_masked;
     {
       PSI_ASSIGN_OR_RETURN(auto buf,
                            session.PartyState(host_).Get(kKeyMasked1));
-      PSI_RETURN_NOT_OK(wire::UnpackBigUInts(buf, &host_m1));
+      PSI_RETURN_NOT_OK(wire::UnpackBigUInts(buf, &host_masked.s1));
     }
     {
       PSI_ASSIGN_OR_RETURN(auto buf,
                            session.PartyState(host_).Get(kKeyMasked2));
-      PSI_RETURN_NOT_OK(wire::UnpackBigInts(buf, &host_m2));
+      PSI_RETURN_NOT_OK(wire::UnpackBigInts(buf, &host_masked.s2));
     }
-    if (host_m1.size() != total || host_m2.size() != total) {
-      return Status::ProtocolError("masked share vectors have wrong length");
-    }
-
-    // Recombined masked counters: R_i * a_i and R_i * numerator_ij, exact.
-    std::vector<BigUInt> masked_a(n), masked_b(q);
-    PSI_RETURN_NOT_OK(ParallelForStatus(total, [&](size_t c) -> Status {
-      BigInt value = BigInt(host_m1[c]) + host_m2[c];
-      if (value.IsNegative()) {
-        return Status::ProtocolError("negative recombined masked counter");
-      }
-      if (c < n) {
-        masked_a[c] = value.magnitude();
-      } else {
-        masked_b[c - n] = value.magnitude();
-      }
-      return Status::OK();
-    }));
+    PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> recombined,
+                         RecombineMaskedShares(host_masked, total));
+    // What H "sees" as real numbers: r_i * a_i and r_i * numerator_ij
+    // (descaled fixed point).
+    const int descale_bits = -static_cast<int>(config_.fraction_bits);
     views_.host_masked_a.resize(n);
     for (size_t i = 0; i < n; ++i) {
-      // What H "sees" as a real number: r_i * a_i (descaled fixed point).
-      views_.host_masked_a[i] = std::ldexp(
-          masked_a[i].ToDouble(), -static_cast<int>(config_.fraction_bits));
+      views_.host_masked_a[i] = std::ldexp(recombined[i].ToDouble(), descale_bits);
     }
     views_.host_masked_b.resize(q);
     for (size_t p = 0; p < q; ++p) {
-      views_.host_masked_b[p] = std::ldexp(
-          masked_b[p].ToDouble(), -static_cast<int>(config_.fraction_bits));
+      views_.host_masked_b[p] =
+          std::ldexp(recombined[n + p].ToDouble(), descale_bits);
     }
 
-    // H evaluates quotients only for the genuine arcs of E.
-    std::unordered_map<uint64_t, size_t> omega_index;
-    omega_index.reserve(q);
-    for (size_t p = 0; p < q; ++p) {
-      omega_index.emplace(PairKey(omega[p].from, omega[p].to), p);
-    }
-
-    out.pairs = host_graph.arcs();
-    out.p.resize(out.pairs.size());
     const double descale = config_.weights.has_value()
                                ? static_cast<double>(config_.weight_scale)
                                : 1.0;
-    for (size_t e = 0; e < out.pairs.size(); ++e) {
-      const Arc& arc = out.pairs[e];
-      auto it = omega_index.find(PairKey(arc.from, arc.to));
-      if (it == omega_index.end()) {
-        return Status::ProtocolError("arc of E missing from Omega_E'");
-      }
-      const BigUInt& denom = masked_a[arc.from];
-      if (denom.IsZero()) {
-        out.p[e] = 0.0;
-      } else {
-        out.p[e] = DivideToDouble(masked_b[it->second], denom) / descale;
-      }
-    }
+    PSI_ASSIGN_OR_RETURN(out, DivideMaskedCounters(host_graph.arcs(), omega,
+                                                   recombined.data(),
+                                                   recombined.data() + n, descale));
     return Status::OK();
   });
 

@@ -30,8 +30,10 @@
 
 #include "actionlog/action_log.h"
 #include "actionlog/counters.h"
+#include "common/annotations.h"
 #include "common/random.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "graph/graph.h"
 #include "influence/link_influence.h"
 #include "mpc/secure_sum.h"
@@ -45,6 +47,11 @@ namespace psi {
 /// psid execution engine calls it at startup so a daemon can run the
 /// programs without ever driving a session.
 void RegisterLinkInfluenceStagePrograms();
+
+/// \brief Key of the ordered user pair (i, j) in sparse counter maps.
+inline uint64_t PairKey(NodeId i, NodeId j) {
+  return (static_cast<uint64_t>(i) << 32) | j;
+}
 
 /// \brief Aggregated per-class counters held by a representative provider
 /// after Protocol 5 (non-exclusive preprocessing). The representative feeds
@@ -104,6 +111,90 @@ struct Protocol4Views {
     const ActionLog& log, size_t num_users, const std::vector<Arc>& pairs,
     const Protocol4Config& config,
     const AggregatedClassCounters* extra = nullptr);
+
+// ---------------------------------------------------------------------------
+// Protocol 4's steps, shared with the drivers that reuse its tail: the
+// multi-host, segmented and perfect-hiding variants and the user-score
+// reveal. Every frame rides ProtocolId::kLinkInfluence under Protocol 4's
+// own step tags. Callers open the round (BeginRound) themselves.
+// ---------------------------------------------------------------------------
+
+/// \brief One provider's copy of Omega_E', as received and validated.
+struct ReceivedOmega {
+  std::vector<uint8_t> payload;  ///< The frame payload (checkpointed by P4).
+  std::vector<Arc> arcs;         ///< Decoded; every endpoint is < n.
+};
+
+/// \brief Steps 1-2: `host` sends `packed_omega` to every provider, and
+/// each provider decodes its own copy. An arc endpoint >= n is a
+/// ProtocolError. Returns the copies in provider order.
+[[nodiscard]] Result<std::vector<ReceivedOmega>> PublishOmega(
+    Network* network, PartyId host, const std::vector<PartyId>& providers,
+    const std::vector<uint8_t>& packed_omega, size_t n);
+
+/// \brief The public counter bound A of Protocol 2: |A| actions, times the
+/// weight-scale ceiling for the Eq. (2) variant.
+BigUInt CounterBound(const Protocol4Config& config, uint64_t num_actions_public);
+
+/// \brief Protocol 2 as Protocol 4 runs it over `num_counters` counters:
+/// bound A, modulus S (config.modulus_s, else RecommendedModulus), the
+/// secret-permutation flag, and P3 as third party (H when m = 2).
+SecureSumProtocol CounterSecureSum(
+    Network* network, PartyId host, const std::vector<PartyId>& providers,
+    const Protocol4Config& config, const BigUInt& bound, size_t num_counters);
+
+/// \brief Steps 5-6: P1 and P2 jointly draw M_i ~ Z and r_i ~ U(0, M_i) for
+/// `count` users and fix them as R_i = floor(r_i * 2^fraction_bits), never
+/// zero. The rounds are labelled "<prefix>Step5 (joint M_i)" and
+/// "<prefix>Step6 (joint r_i)".
+[[nodiscard]] Result<std::vector<BigUInt>> DrawJointMasks(
+    Network* network, PartyId p1, PartyId p2, size_t count, Rng* rng1, Rng* rng2,
+    size_t fraction_bits, const std::string& label_prefix);
+
+/// \brief Step 7: R * s1 and R * s2 for every counter c of `shares`, where
+/// `mask_of_counter(c)` is the mask R governing counter c. The products are
+/// what P1 and P2 send H, so they are safe to send. Pure big-integer
+/// products over drawn masks: the loop fans out with no effect on the
+/// transcript.
+template <typename MaskOf>
+PSI_SANITIZES BatchedIntegerShares MaskShares(const BatchedIntegerShares& shares,
+                                              const MaskOf& mask_of_counter) {
+  const size_t total = shares.s1.size();
+  BatchedIntegerShares masked;
+  masked.s1.resize(total);
+  masked.s2.resize(total);
+  ParallelFor(total, [&](size_t c) {
+    masked.s1[c] = mask_of_counter(c) * shares.s1[c];
+    masked.s2[c] = BigInt(mask_of_counter(c)) * shares.s2[c];
+  });
+  return masked;
+}
+
+/// \brief The masked shares as H received them.
+struct HostMaskedShares {
+  std::vector<uint8_t> payload1;  ///< From P1 (checkpointed by P4).
+  std::vector<uint8_t> payload2;  ///< From P2.
+  BatchedIntegerShares shares;    ///< Decoded; both `total` long.
+};
+
+/// \brief Step 8: P1 and P2 send H their masked shares; H decodes both and
+/// rejects any length other than `total` with a ProtocolError.
+[[nodiscard]] Result<HostMaskedShares> SendMaskedShares(
+    Network* network, PartyId p1, PartyId p2, PartyId host,
+    const BatchedIntegerShares& masked, size_t total);
+
+/// \brief Step 9 at H: R * s1 + R * s2 = R * x per counter, exact. A length
+/// other than `total` or a negative sum is a ProtocolError.
+[[nodiscard]] Result<std::vector<BigUInt>> RecombineMaskedShares(
+    const BatchedIntegerShares& masked, size_t total);
+
+/// \brief Step 9 at H: p_ij = (R_i * numerator_ij) / (R_i * a_i) / descale
+/// for every arc of `arcs`. `masked_a[i]` is R_i * a_i and
+/// `masked_numerators[p]` is the numerator of omega[p]. An arc missing from
+/// `omega` is a ProtocolError.
+[[nodiscard]] Result<LinkInfluence> DivideMaskedCounters(
+    const std::vector<Arc>& arcs, const std::vector<Arc>& omega, const BigUInt* masked_a,
+    const BigUInt* masked_numerators, double descale);
 
 /// \brief Orchestrates Protocol 4 across the simulated network.
 class LinkInfluenceProtocol {

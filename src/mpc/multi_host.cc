@@ -1,24 +1,12 @@
 #include "mpc/multi_host.h"
 
-#include <cmath>
-#include <unordered_map>
+#include <algorithm>
 
 #include "common/annotations.h"
-#include "common/serialize.h"
 #include "graph/generators.h"
-#include "mpc/joint_random.h"
-#include "mpc/secure_sum.h"
 #include "mpc/wire.h"
 
 namespace psi {
-
-namespace {
-
-uint64_t PairKey(NodeId i, NodeId j) {
-  return (static_cast<uint64_t>(i) << 32) | j;
-}
-
-}  // namespace
 
 MultiHostLinkInfluenceProtocol::MultiHostLinkInfluenceProtocol(
     Network* network, std::vector<PartyId> hosts,
@@ -33,7 +21,7 @@ Result<std::vector<LinkInfluence>> MultiHostLinkInfluenceProtocol::Run(
     uint64_t num_actions_public, const std::vector<ActionLog>& provider_logs,
     const std::vector<Rng*>& host_rngs, const std::vector<Rng*>& provider_rngs,
     Rng* pair_secret_rng) {
-  return DrainOnError(
+  return DrainAfterRun(
       network_, RunImpl(host_graphs, num_actions_public, provider_logs,
                         host_rngs, provider_rngs, pair_secret_rng));
 }
@@ -60,186 +48,82 @@ Result<std::vector<LinkInfluence>> MultiHostLinkInfluenceProtocol::RunImpl(
     }
   }
 
-  // ---- Step 1: every host publishes its obfuscated arc set. ----
+  // ---- Step 1: every host publishes its obfuscated arc set; every provider
+  //      concatenates its own validated copies into one pair list. ----
   std::vector<std::vector<Arc>> omegas(r);
+  std::vector<std::vector<Arc>> provider_pairs(m);
   network_->BeginRound("MH.Step1 (H_h -> P_k: Omega_h)");
   for (size_t h = 0; h < r; ++h) {
     PSI_ASSIGN_OR_RETURN(omegas[h],
                          ObfuscateArcSet(host_rngs[h], *host_graphs[h],
                                          config_.obfuscation_factor));
-    auto packed = wire::PackArcs(omegas[h]);
+    PSI_ASSIGN_OR_RETURN(std::vector<ReceivedOmega> received,
+                         PublishOmega(network_, hosts_[h], providers_,
+                                      wire::PackArcs(omegas[h]), n));
     for (size_t k = 0; k < m; ++k) {
-      PSI_RETURN_NOT_OK(network_->Send(hosts_[h], providers_[k], packed));
+      provider_pairs[k].insert(provider_pairs[k].end(), received[k].arcs.begin(),
+                               received[k].arcs.end());
     }
   }
   omega_sizes_.clear();
   for (const auto& o : omegas) omega_sizes_.push_back(o.size());
-
-  // Providers receive and concatenate all Omegas.
-  std::vector<Arc> all_pairs;
-  std::vector<size_t> range_start(r + 1, 0);
-  {
-    // Every provider receives identical content; decode from provider 0's
-    // copy and drain the rest.
-    for (size_t h = 0; h < r; ++h) {
-      std::vector<Arc> decoded;
-      for (size_t k = 0; k < m; ++k) {
-        PSI_ASSIGN_OR_RETURN(auto buf,
-                             network_->Recv(providers_[k], hosts_[h]));
-        if (k == 0) PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &decoded));
-      }
-      range_start[h] = all_pairs.size();
-      all_pairs.insert(all_pairs.end(), decoded.begin(), decoded.end());
-    }
-    range_start[r] = all_pairs.size();
-  }
-  const size_t q_total = all_pairs.size();
 
   // ---- Step 2: one batched Protocol 2 over [a | b(all Omegas)]. ----
   std::vector<std::vector<uint64_t>> inputs(m);
   for (size_t k = 0; k < m; ++k) {
     PSI_ASSIGN_OR_RETURN(inputs[k],
                          ComputeProviderCounterVector(
-                             provider_logs[k], n, all_pairs, config_));
+                             provider_logs[k], n, provider_pairs[k], config_));
   }
-  BigUInt bound(num_actions_public);
-  if (config_.weights.has_value()) {
-    bound = bound * BigUInt(config_.weight_scale) * BigUInt(config_.h);
-  }
-  BigUInt modulus =
-      config_.modulus_s.has_value()
-          ? *config_.modulus_s
-          : RecommendedModulus(bound, n + q_total, config_.epsilon_log2);
-  SecureSumConfig sum_config;
-  sum_config.modulus_s = modulus;
-  sum_config.input_bound_a = bound;
-  sum_config.use_secret_permutation = config_.use_secret_permutation;
-  PartyId third_party = (m > 2) ? providers_[2] : hosts_[0];
-  SecureSumProtocol secure_sum(network_, providers_, third_party, sum_config);
+  SecureSumProtocol secure_sum = CounterSecureSum(
+      network_, hosts_[0], providers_, config_,
+      CounterBound(config_, num_actions_public), inputs[0].size());
   PSI_ASSIGN_OR_RETURN(
       BatchedIntegerShares shares,
       secure_sum.RunProtocol2(inputs, provider_rngs, pair_secret_rng, "MH."));
 
-  // ---- Step 3: joint per-user masks, drawn once for all hosts. ----
-  PSI_ASSIGN_OR_RETURN(
-      auto u_m, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "MH.Step5 (joint M_i)"));
-  std::vector<double> m_values = ToZDistribution(u_m);
-  PSI_ASSIGN_OR_RETURN(
-      auto u_r, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "MH.Step6 (joint r_i)"));
-  PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
+  // ---- Step 3: joint per-user masks, drawn once for all hosts; P1 masks
+  //      every counter by its copy of the pair list. ----
   PSI_SECRET std::vector<BigUInt> masks;
-  masks.resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    PSI_ASSIGN_OR_RETURN(
-        masks[i],
-        BigUIntFromDouble(std::ldexp(r_values[i],
-                                     static_cast<int>(config_.fraction_bits))));
-    // psi-lint: allow(secret-flow) zero test only nudges the mask to 1 so the later division is defined; it leaks one bit with probability ~2^-fraction_bits
-    if (masks[i].IsZero()) masks[i] = BigUInt(1);
-  }
-  auto mask_of_counter = [&](size_t c) -> const BigUInt& {
-    return c < n ? masks[c] : masks[all_pairs[c - n].from];
-  };
+  PSI_ASSIGN_OR_RETURN(
+      masks, DrawJointMasks(network_, providers_[0], providers_[1], n,
+                            provider_rngs[0], provider_rngs[1],
+                            config_.fraction_bits, "MH."));
+  const std::vector<Arc>& p1_pairs = provider_pairs[0];
+  BatchedIntegerShares masked =
+      MaskShares(shares, [&](size_t c) -> const BigUInt& {
+        return c < n ? masks[c] : masks[p1_pairs[c - n].from];
+      });
 
-  // ---- Step 4: each host receives masked a-shares + its own b-slice. ----
+  // ---- Step 4: each host receives the masked a-shares plus its own
+  //      b-slice, then recombines and divides for its own arcs. ----
   network_->BeginRound("MH.Steps7-8 (masked slices -> hosts)");
-  const size_t total = n + q_total;
-  std::vector<BigUInt> masked1(total);
-  std::vector<BigInt> masked2(total);
-  for (size_t c = 0; c < total; ++c) {
-    masked1[c] = mask_of_counter(c) * shares.s1[c];
-    masked2[c] = BigInt(mask_of_counter(c)) * shares.s2[c];
-  }
-  for (size_t h = 0; h < r; ++h) {
-    BinaryWriter w1, w2;
-    w1.WriteVarU64(n);
-    w2.WriteVarU64(n);
-    for (size_t i = 0; i < n; ++i) {
-      WriteBigUInt(&w1, masked1[i]);
-      WriteBigInt(&w2, masked2[i]);
-    }
-    size_t lo = n + range_start[h], hi = n + range_start[h + 1];
-    w1.WriteVarU64(hi - lo);
-    w2.WriteVarU64(hi - lo);
-    for (size_t c = lo; c < hi; ++c) {
-      WriteBigUInt(&w1, masked1[c]);
-      WriteBigInt(&w2, masked2[c]);
-    }
-    PSI_RETURN_NOT_OK(network_->Send(providers_[0], hosts_[h], w1.TakeBuffer()));
-    PSI_RETURN_NOT_OK(network_->Send(providers_[1], hosts_[h], w2.TakeBuffer()));
-  }
-
-  // ---- Step 5 (local at each host): recombine and divide. ----
+  const double descale = config_.weights.has_value()
+                             ? static_cast<double>(config_.weight_scale)
+                             : 1.0;
   std::vector<LinkInfluence> out(r);
+  size_t slice_start = n;
   for (size_t h = 0; h < r; ++h) {
-    PSI_ASSIGN_OR_RETURN(auto buf1, network_->Recv(hosts_[h], providers_[0]));
-    PSI_ASSIGN_OR_RETURN(auto buf2, network_->Recv(hosts_[h], providers_[1]));
-    BinaryReader r1(buf1), r2(buf2);
-    uint64_t count_a1, count_a2;
-    PSI_RETURN_NOT_OK(r1.ReadVarU64(&count_a1));
-    PSI_RETURN_NOT_OK(r2.ReadVarU64(&count_a2));
-    if (count_a1 != n || count_a2 != n) {
-      return Status::ProtocolError("masked a-vector length mismatch");
-    }
-    std::vector<BigUInt> masked_a(n);
-    for (size_t i = 0; i < n; ++i) {
-      BigUInt v1;
-      BigInt v2;
-      PSI_RETURN_NOT_OK(ReadBigUInt(&r1, &v1));
-      PSI_RETURN_NOT_OK(ReadBigInt(&r2, &v2));
-      BigInt value = BigInt(v1) + v2;
-      if (value.IsNegative()) {
-        return Status::ProtocolError("negative recombined counter");
+    const size_t q_h = omegas[h].size();
+    const size_t slice_end = std::min(slice_start + q_h, masked.s1.size());
+    BatchedIntegerShares slice;
+    auto append = [&](size_t lo, size_t hi) {
+      for (size_t c = lo; c < hi; ++c) {
+        slice.s1.push_back(masked.s1[c]);
+        slice.s2.push_back(masked.s2[c]);
       }
-      masked_a[i] = value.magnitude();
-    }
-    uint64_t count_b1, count_b2;
-    PSI_RETURN_NOT_OK(r1.ReadVarU64(&count_b1));
-    PSI_RETURN_NOT_OK(r2.ReadVarU64(&count_b2));
-    size_t q_h = range_start[h + 1] - range_start[h];
-    if (count_b1 != q_h || count_b2 != q_h) {
-      return Status::ProtocolError("masked b-slice length mismatch");
-    }
-    std::vector<BigUInt> masked_b(q_h);
-    for (size_t p = 0; p < q_h; ++p) {
-      BigUInt v1;
-      BigInt v2;
-      PSI_RETURN_NOT_OK(ReadBigUInt(&r1, &v1));
-      PSI_RETURN_NOT_OK(ReadBigInt(&r2, &v2));
-      BigInt value = BigInt(v1) + v2;
-      if (value.IsNegative()) {
-        return Status::ProtocolError("negative recombined counter");
-      }
-      masked_b[p] = value.magnitude();
-    }
-    // Quotients for this host's genuine arcs.
-    std::unordered_map<uint64_t, size_t> omega_index;
-    omega_index.reserve(q_h);
-    for (size_t p = 0; p < q_h; ++p) {
-      const Arc& a = omegas[h][p];
-      omega_index.emplace(PairKey(a.from, a.to), p);
-    }
-    out[h].pairs = host_graphs[h]->arcs();
-    out[h].p.resize(out[h].pairs.size());
-    const double descale = config_.weights.has_value()
-                               ? static_cast<double>(config_.weight_scale)
-                               : 1.0;
-    for (size_t e = 0; e < out[h].pairs.size(); ++e) {
-      const Arc& arc = out[h].pairs[e];
-      auto it = omega_index.find(PairKey(arc.from, arc.to));
-      if (it == omega_index.end()) {
-        return Status::ProtocolError("arc missing from host's Omega");
-      }
-      const BigUInt& denom = masked_a[arc.from];
-      out[h].p[e] =
-          denom.IsZero()
-              ? 0.0
-              : DivideToDouble(masked_b[it->second], denom) / descale;
-    }
+    };
+    append(0, n);
+    append(slice_start, slice_end);
+    slice_start = slice_end;
+    PSI_ASSIGN_OR_RETURN(HostMaskedShares got,
+                         SendMaskedShares(network_, providers_[0], providers_[1],
+                                          hosts_[h], slice, n + q_h));
+    PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> recombined,
+                         RecombineMaskedShares(got.shares, n + q_h));
+    PSI_ASSIGN_OR_RETURN(out[h], DivideMaskedCounters(host_graphs[h]->arcs(), omegas[h],
+                                                      recombined.data(),
+                                                      recombined.data() + n, descale));
   }
   return out;
 }

@@ -1,11 +1,8 @@
 #include "mpc/perfect_hiding.h"
 
-#include <cmath>
-
-#include "common/serialize.h"
+#include "common/annotations.h"
 #include "crypto/oblivious_transfer.h"
-#include "mpc/joint_random.h"
-#include "mpc/secure_sum.h"
+#include "mpc/wire.h"
 
 namespace psi {
 
@@ -38,7 +35,7 @@ Result<LinkInfluence> PerfectHidingLinkInfluenceProtocol::Run(
     const SocialGraph& host_graph, uint64_t num_actions_public,
     const std::vector<ActionLog>& provider_logs, Rng* host_rng,
     const std::vector<Rng*>& provider_rngs, Rng* pair_secret_rng) {
-  return DrainOnError(
+  return DrainAfterRun(
       network_, RunImpl(host_graph, num_actions_public, provider_logs,
                         host_rng, provider_rngs, pair_secret_rng));
 }
@@ -62,99 +59,53 @@ Result<LinkInfluence> PerfectHidingLinkInfluenceProtocol::RunImpl(
   // ---- Batched Protocol 2 over [a | b(all pairs)]. ----
   Protocol4Config counter_cfg;
   counter_cfg.h = config_.h;
+  counter_cfg.epsilon_log2 = config_.epsilon_log2;
+  counter_cfg.use_secret_permutation = config_.use_secret_permutation;
+  counter_cfg.fraction_bits = config_.fraction_bits;
   std::vector<std::vector<uint64_t>> inputs(m);
   for (size_t k = 0; k < m; ++k) {
     PSI_ASSIGN_OR_RETURN(inputs[k],
                          ComputeProviderCounterVector(provider_logs[k], n,
                                                       pairs, counter_cfg));
   }
-  BigUInt bound(num_actions_public);
-  SecureSumConfig sum_config;
-  sum_config.input_bound_a = bound;
-  sum_config.modulus_s =
-      RecommendedModulus(bound, n + q, config_.epsilon_log2);
-  sum_config.use_secret_permutation = config_.use_secret_permutation;
-  PartyId third_party = (m > 2) ? providers_[2] : host_;
-  SecureSumProtocol secure_sum(network_, providers_, third_party, sum_config);
+  SecureSumProtocol secure_sum =
+      CounterSecureSum(network_, host_, providers_, counter_cfg,
+                       CounterBound(counter_cfg, num_actions_public), n + q);
   PSI_ASSIGN_OR_RETURN(
       BatchedIntegerShares shares,
       secure_sum.RunProtocol2(inputs, provider_rngs, pair_secret_rng, "PH."));
 
-  // ---- Joint per-user masks. ----
+  // ---- Joint per-user masks, and every counter's masked shares. ----
+  PSI_SECRET std::vector<BigUInt> masks;
   PSI_ASSIGN_OR_RETURN(
-      auto u_m, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "PH.Step5 (joint M_i)"));
-  std::vector<double> m_values = ToZDistribution(u_m);
-  PSI_ASSIGN_OR_RETURN(
-      auto u_r, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "PH.Step6 (joint r_i)"));
-  PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
-  std::vector<BigUInt> masks(n);
-  for (size_t i = 0; i < n; ++i) {
-    PSI_ASSIGN_OR_RETURN(
-        masks[i],
-        BigUIntFromDouble(std::ldexp(r_values[i],
-                                     static_cast<int>(config_.fraction_bits))));
-    if (masks[i].IsZero()) masks[i] = BigUInt(1);
-  }
+      masks, DrawJointMasks(network_, providers_[0], providers_[1], n,
+                            provider_rngs[0], provider_rngs[1],
+                            config_.fraction_bits, "PH."));
+  BatchedIntegerShares masked =
+      MaskShares(shares, [&](size_t c) -> const BigUInt& {
+        return c < n ? masks[c] : masks[pairs[c - n].from];
+      });
 
   // ---- Denominators travel openly (masked): they are per user, not per
   //      arc, so they reveal nothing about E. ----
+  BatchedIntegerShares masked_a_shares;
+  for (size_t i = 0; i < n; ++i) {
+    masked_a_shares.s1.push_back(masked.s1[i]);
+    masked_a_shares.s2.push_back(masked.s2[i]);
+  }
   network_->BeginRound("PH.Steps7-8a (masked a shares -> H)");
-  {
-    BinaryWriter w1, w2;
-    w1.WriteVarU64(n);
-    w2.WriteVarU64(n);
-    for (size_t i = 0; i < n; ++i) {
-      WriteBigUInt(&w1, masks[i] * shares.s1[i]);
-      WriteBigInt(&w2, BigInt(masks[i]) * shares.s2[i]);
-    }
-    PSI_RETURN_NOT_OK(network_->Send(providers_[0], host_, w1.TakeBuffer()));
-    PSI_RETURN_NOT_OK(network_->Send(providers_[1], host_, w2.TakeBuffer()));
-  }
-  PSI_ASSIGN_OR_RETURN(auto buf1, network_->Recv(host_, providers_[0]));
-  PSI_ASSIGN_OR_RETURN(auto buf2, network_->Recv(host_, providers_[1]));
-  std::vector<BigUInt> masked_a(n);
-  {
-    BinaryReader r1(buf1), r2(buf2);
-    uint64_t c1, c2;
-    PSI_RETURN_NOT_OK(r1.ReadVarU64(&c1));
-    PSI_RETURN_NOT_OK(r2.ReadVarU64(&c2));
-    if (c1 != n || c2 != n) {
-      return Status::ProtocolError("masked a-vector length mismatch");
-    }
-    for (size_t i = 0; i < n; ++i) {
-      BigUInt v1;
-      BigInt v2;
-      PSI_RETURN_NOT_OK(ReadBigUInt(&r1, &v1));
-      PSI_RETURN_NOT_OK(ReadBigInt(&r2, &v2));
-      BigInt value = BigInt(v1) + v2;
-      if (value.IsNegative()) {
-        return Status::ProtocolError("negative recombined counter");
-      }
-      masked_a[i] = value.magnitude();
-    }
-  }
+  PSI_ASSIGN_OR_RETURN(HostMaskedShares got,
+                       SendMaskedShares(network_, providers_[0], providers_[1],
+                                        host_, masked_a_shares, n));
+  PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> masked_a,
+                       RecombineMaskedShares(got.shares, n));
 
   // ---- Numerators via |E|-out-of-(n^2-n) oblivious transfer. ----
   // Message vectors: the masked b-share of every ordered pair.
-  auto serialize_biguint = [](const BigUInt& v) {
-    BinaryWriter w;
-    WriteBigUInt(&w, v);
-    return w.TakeBuffer();
-  };
-  auto serialize_bigint = [](const BigInt& v) {
-    BinaryWriter w;
-    WriteBigInt(&w, v);
-    return w.TakeBuffer();
-  };
   std::vector<std::vector<uint8_t>> p1_messages(q), p2_messages(q);
   for (size_t p = 0; p < q; ++p) {
-    const BigUInt& mask = masks[pairs[p].from];
-    p1_messages[p] = serialize_biguint(mask * shares.s1[n + p]);
-    p2_messages[p] = serialize_bigint(BigInt(mask) * shares.s2[n + p]);
+    p1_messages[p] = wire::PackBigUInts({masked.s1[n + p]});
+    p2_messages[p] = wire::PackBigInts({masked.s2[n + p]});
   }
   std::vector<size_t> choices;
   choices.reserve(host_graph.num_arcs());
@@ -178,22 +129,29 @@ Result<LinkInfluence> PerfectHidingLinkInfluenceProtocol::RunImpl(
                             "PH.P2."));
 
   // ---- Recombine and divide, per arc. ----
+  const size_t num_arcs = choices.size();
+  BatchedIntegerShares masked_b_shares;
+  masked_b_shares.s1.reserve(num_arcs);
+  masked_b_shares.s2.reserve(num_arcs);
+  for (size_t e = 0; e < num_arcs; ++e) {
+    std::vector<BigUInt> v1;
+    std::vector<BigInt> v2;
+    PSI_RETURN_NOT_OK(wire::UnpackBigUInts(from_p1[e], &v1));
+    PSI_RETURN_NOT_OK(wire::UnpackBigInts(from_p2[e], &v2));
+    if (v1.size() != 1 || v2.size() != 1) {
+      return Status::ProtocolError("OT message is not one masked share");
+    }
+    masked_b_shares.s1.push_back(std::move(v1[0]));
+    masked_b_shares.s2.push_back(std::move(v2[0]));
+  }
+  PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> masked_b,
+                       RecombineMaskedShares(masked_b_shares, num_arcs));
   LinkInfluence out;
   out.pairs = host_graph.arcs();
-  out.p.resize(out.pairs.size());
-  for (size_t e = 0; e < out.pairs.size(); ++e) {
-    BinaryReader r1(from_p1[e]), r2(from_p2[e]);
-    BigUInt v1;
-    BigInt v2;
-    PSI_RETURN_NOT_OK(ReadBigUInt(&r1, &v1));
-    PSI_RETURN_NOT_OK(ReadBigInt(&r2, &v2));
-    BigInt numer = BigInt(v1) + v2;
-    if (numer.IsNegative()) {
-      return Status::ProtocolError("negative recombined numerator");
-    }
+  out.p.resize(num_arcs);
+  for (size_t e = 0; e < num_arcs; ++e) {
     const BigUInt& denom = masked_a[out.pairs[e].from];
-    out.p[e] =
-        denom.IsZero() ? 0.0 : DivideToDouble(numer.magnitude(), denom);
+    out.p[e] = denom.IsZero() ? 0.0 : DivideToDouble(masked_b[e], denom);
   }
   return out;
 }

@@ -87,6 +87,9 @@ class SecureSumProtocol {
       const std::vector<Rng*>& player_rngs, Rng* pair_secret_rng,
       const std::string& label_prefix);
 
+  /// \brief The share modulus S.
+  const BigUInt& modulus() const { return config_.modulus_s; }
+
   const SecureSumViews& views() const { return views_; }
   /// \brief Moves the recorded views out, for a caller that keeps them.
   SecureSumViews TakeViews() { return std::move(views_); }

@@ -1,17 +1,10 @@
 #include "mpc/secure_user_score.h"
 
-#include <cmath>
-
 #include "actionlog/counters.h"
-#include "common/serialize.h"
-#include "mpc/joint_random.h"
-#include "mpc/wire.h"
+#include "common/annotations.h"
+#include "mpc/link_influence_protocol.h"
 
 namespace psi {
-
-namespace {
-
-}  // namespace
 
 SecureUserScoreProtocol::SecureUserScoreProtocol(
     Network* network, PartyId host, std::vector<PartyId> providers,
@@ -25,9 +18,9 @@ Result<std::vector<double>> SecureUserScoreProtocol::Run(
     const SocialGraph& host_graph, size_t num_actions,
     const std::vector<ActionLog>& provider_logs, Rng* host_rng,
     const std::vector<Rng*>& provider_rngs, Rng* pair_secret_rng) {
-  return DrainOnError(network_,
-                      RunImpl(host_graph, num_actions, provider_logs, host_rng,
-                              provider_rngs, pair_secret_rng));
+  return DrainAfterRun(network_,
+                       RunImpl(host_graph, num_actions, provider_logs, host_rng,
+                               provider_rngs, pair_secret_rng));
 }
 
 Result<std::vector<double>> SecureUserScoreProtocol::RunImpl(
@@ -55,85 +48,43 @@ Result<std::vector<double>> SecureUserScoreProtocol::RunImpl(
   for (size_t k = 0; k < m; ++k) {
     inputs[k] = ComputeActionCounts(provider_logs[k], n);
   }
-  SecureSumConfig sum_config;
-  sum_config.input_bound_a = BigUInt(num_actions);
-  sum_config.modulus_s = RecommendedModulus(sum_config.input_bound_a, n,
-                                            config_.epsilon_log2);
-  PartyId third_party = (m > 2) ? providers_[2] : host_;
-  SecureSumProtocol secure_sum(network_, providers_, third_party, sum_config);
+  Protocol4Config p4;
+  p4.epsilon_log2 = config_.epsilon_log2;
+  SecureSumProtocol secure_sum = CounterSecureSum(
+      network_, host_, providers_, p4, BigUInt(num_actions), n);
   PSI_ASSIGN_OR_RETURN(
       BatchedIntegerShares shares,
       secure_sum.RunProtocol2(inputs, provider_rngs, pair_secret_rng, "P6S."));
 
-  // ---- Phase 3: masked reveal of a_i (division by the constant 1). ----
+  // ---- Phase 3: Protocol 4's masked division of a_i by the public constant
+  // 1. The counters are [a_0..a_{n-1} | 1 x n]; P1 holds the constant as its
+  // share and P2 holds 0, so H recombines R_i * a_i and R_i. ----
+  PSI_SECRET std::vector<BigUInt> masks;
   PSI_ASSIGN_OR_RETURN(
-      auto u_m, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "P6S.Step5 (joint M_i)"));
-  std::vector<double> m_values = ToZDistribution(u_m);
-  PSI_ASSIGN_OR_RETURN(
-      auto u_r, JointUniformBatch(network_, providers_[0], providers_[1], n,
-                                  provider_rngs[0], provider_rngs[1],
-                                  "P6S.Step6 (joint r_i)"));
-  PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
-
-  std::vector<BigUInt> masks(n);
-  for (size_t i = 0; i < n; ++i) {
-    PSI_ASSIGN_OR_RETURN(masks[i],
-                         BigUIntFromDouble(std::ldexp(r_values[i], 64)));
-    if (masks[i].IsZero()) masks[i] = BigUInt(1);
-  }
-
-  // P1 sends R_i * s1(a_i) and R_i * 1; P2 sends R_i * s2(a_i) (its share of
-  // the public constant is 0, which it need not transmit).
-  std::vector<BigUInt> masked1(n), masked_unit(n);
-  std::vector<BigInt> masked2(n);
-  for (size_t i = 0; i < n; ++i) {
-    masked1[i] = masks[i] * shares.s1[i];
-    masked_unit[i] = masks[i];
-    masked2[i] = BigInt(masks[i]) * shares.s2[i];
-  }
+      masks, DrawJointMasks(network_, providers_[0], providers_[1], n,
+                            provider_rngs[0], provider_rngs[1],
+                            p4.fraction_bits, "P6S."));
+  shares.s1.resize(2 * n, BigUInt(1));
+  shares.s2.resize(2 * n, BigInt());
+  BatchedIntegerShares masked =
+      MaskShares(shares, [&](size_t c) -> const BigUInt& {
+        return masks[c % n];
+      });
   network_->BeginRound("P6S.Steps7-8 (masked a_i shares -> H)");
-  {
-    BinaryWriter w;
-    w.WriteVarU64(n);
-    for (size_t i = 0; i < n; ++i) {
-      WriteBigUInt(&w, masked1[i]);
-      WriteBigUInt(&w, masked_unit[i]);
-    }
-    PSI_RETURN_NOT_OK(network_->Send(providers_[0], host_, w.TakeBuffer()));
-  }
-  PSI_RETURN_NOT_OK(network_->Send(providers_[1], host_, wire::PackBigInts(masked2)));
+  PSI_ASSIGN_OR_RETURN(HostMaskedShares got,
+                       SendMaskedShares(network_, providers_[0], providers_[1],
+                                        host_, masked, 2 * n));
+  PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> recombined,
+                       RecombineMaskedShares(got.shares, 2 * n));
 
-  // Host reconstructs a_i = (R*a_i) / (R*1) exactly.
-  PSI_ASSIGN_OR_RETURN(auto buf1, network_->Recv(host_, providers_[0]));
-  PSI_ASSIGN_OR_RETURN(auto buf2, network_->Recv(host_, providers_[1]));
-  std::vector<BigUInt> host_m1(n), host_unit(n);
-  {
-    BinaryReader r(buf1);
-    uint64_t count;
-    PSI_RETURN_NOT_OK(r.ReadVarU64(&count));
-    if (count != n) return Status::ProtocolError("masked vector length");
-    for (size_t i = 0; i < n; ++i) {
-      PSI_RETURN_NOT_OK(ReadBigUInt(&r, &host_m1[i]));
-      PSI_RETURN_NOT_OK(ReadBigUInt(&r, &host_unit[i]));
-    }
-  }
-  std::vector<BigInt> host_m2;
-  PSI_RETURN_NOT_OK(wire::UnpackBigInts(buf2, &host_m2));
-  if (host_m2.size() != n) {
-    return Status::ProtocolError("masked vector length");
-  }
-
+  // Host reconstructs a_i = (R_i * a_i) / (R_i * 1) exactly.
   revealed_a_.assign(n, 0);
   for (size_t i = 0; i < n; ++i) {
-    BigInt numer = BigInt(host_m1[i]) + host_m2[i];
-    if (numer.IsNegative() || host_unit[i].IsZero()) {
+    if (recombined[n + i].IsZero()) {
       return Status::ProtocolError("invalid masked a_i recombination");
     }
-    // Exact: numer == R_i * a_i and host_unit == R_i.
     PSI_ASSIGN_OR_RETURN(revealed_a_[i],
-                         (numer.magnitude() / host_unit[i]).ToUint64());
+                         (recombined[i] / recombined[n + i]).ToUint64());
   }
 
   // ---- Phase 4 (local at H): Eq. (3) from the PGs and the a_i. ----

@@ -1,24 +1,10 @@
 #include "mpc/segmented_influence.h"
 
-#include <cmath>
-#include <unordered_map>
-
 #include "common/annotations.h"
-#include "common/serialize.h"
 #include "graph/generators.h"
-#include "mpc/joint_random.h"
-#include "mpc/secure_sum.h"
 #include "mpc/wire.h"
 
 namespace psi {
-
-namespace {
-
-uint64_t PairKey(NodeId i, NodeId j) {
-  return (static_cast<uint64_t>(i) << 32) | j;
-}
-
-}  // namespace
 
 SegmentedInfluenceProtocol::SegmentedInfluenceProtocol(
     Network* network, PartyId host, std::vector<PartyId> providers,
@@ -34,7 +20,7 @@ Result<SegmentedLinkInfluence> SegmentedInfluenceProtocol::Run(
     const std::vector<uint32_t>& segment_of_action, uint32_t num_segments,
     Rng* host_rng, const std::vector<Rng*>& provider_rngs,
     Rng* pair_secret_rng) {
-  return DrainOnError(
+  return DrainAfterRun(
       network_, RunImpl(host_graph, num_actions_public, provider_logs,
                         segment_of_action, num_segments, host_rng,
                         provider_rngs, pair_secret_rng));
@@ -65,19 +51,13 @@ Result<SegmentedLinkInfluence> SegmentedInfluenceProtocol::RunImpl(
       ObfuscateArcSet(host_rng, host_graph, config_.obfuscation_factor));
   const size_t q = omega.size();
   network_->BeginRound("SEG.Step2 (H -> P_k: Omega_E')");
-  auto packed = wire::PackArcs(omega);
-  for (size_t k = 0; k < m; ++k) {
-    PSI_RETURN_NOT_OK(network_->Send(host_, providers_[k], packed));
-  }
-  std::vector<std::vector<Arc>> provider_omega(m);
-  for (size_t k = 0; k < m; ++k) {
-    PSI_ASSIGN_OR_RETURN(auto buf, network_->Recv(providers_[k], host_));
-    PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &provider_omega[k]));
-  }
+  PSI_ASSIGN_OR_RETURN(
+      std::vector<ReceivedOmega> provider_omega,
+      PublishOmega(network_, host_, providers_, wire::PackArcs(omega), n));
 
-  // ---- Local: per-segment counter blocks. Layout:
-  //      [a^0 .. a^{G-1} | b^0 .. b^{G-1}], each a-block n wide, each
-  //      b-block q wide. ----
+  // ---- Local: per-segment counter blocks over each provider's own copy of
+  //      Omega_E'. Layout: [a^0 .. a^{G-1} | b^0 .. b^{G-1}], each a-block
+  //      n wide, each b-block q wide. ----
   const size_t a_total = g_count * n;
   const size_t total = a_total + g_count * q;
   std::vector<std::vector<uint64_t>> inputs(m);
@@ -90,126 +70,50 @@ Result<SegmentedLinkInfluence> SegmentedInfluenceProtocol::RunImpl(
       inputs[k].insert(inputs[k].end(), a.begin(), a.end());
     }
     for (uint32_t g = 0; g < g_count; ++g) {
-      auto b = ComputeFollowCounts(filtered[g], provider_omega[k], config_.h);
+      auto b = ComputeFollowCounts(filtered[g], provider_omega[k].arcs, config_.h);
       inputs[k].insert(inputs[k].end(), b.begin(), b.end());
     }
   }
 
   // ---- Batched Protocol 2 over all G(n + q) counters. ----
-  BigUInt bound(num_actions_public);
-  BigUInt modulus =
-      config_.modulus_s.has_value()
-          ? *config_.modulus_s
-          : RecommendedModulus(bound, total, config_.epsilon_log2);
-  SecureSumConfig sum_config;
-  sum_config.modulus_s = modulus;
-  sum_config.input_bound_a = bound;
-  sum_config.use_secret_permutation = config_.use_secret_permutation;
-  PartyId third_party = (m > 2) ? providers_[2] : host_;
-  SecureSumProtocol secure_sum(network_, providers_, third_party, sum_config);
+  SecureSumProtocol secure_sum =
+      CounterSecureSum(network_, host_, providers_, config_,
+                       CounterBound(config_, num_actions_public), total);
   PSI_ASSIGN_OR_RETURN(
       BatchedIntegerShares shares,
       secure_sum.RunProtocol2(inputs, provider_rngs, pair_secret_rng, "SEG."));
 
   // ---- Per-(user, segment) masks. ----
-  PSI_ASSIGN_OR_RETURN(
-      auto u_m,
-      JointUniformBatch(network_, providers_[0], providers_[1], a_total,
-                        provider_rngs[0], provider_rngs[1],
-                        "SEG.Step5 (joint M_{i,g})"));
-  std::vector<double> m_values = ToZDistribution(u_m);
-  PSI_ASSIGN_OR_RETURN(
-      auto u_r,
-      JointUniformBatch(network_, providers_[0], providers_[1], a_total,
-                        provider_rngs[0], provider_rngs[1],
-                        "SEG.Step6 (joint r_{i,g})"));
-  PSI_ASSIGN_OR_RETURN(auto r_values, ToUniformBelow(u_r, m_values));
   PSI_SECRET std::vector<BigUInt> masks;
-  masks.resize(a_total);
-  for (size_t i = 0; i < a_total; ++i) {
-    PSI_ASSIGN_OR_RETURN(
-        masks[i],
-        BigUIntFromDouble(std::ldexp(r_values[i],
-                                     static_cast<int>(config_.fraction_bits))));
-    // psi-lint: allow(secret-flow) zero test only nudges the mask to 1 so the later division is defined; it leaks one bit with probability ~2^-fraction_bits
-    if (masks[i].IsZero()) masks[i] = BigUInt(1);
-  }
+  PSI_ASSIGN_OR_RETURN(
+      masks, DrawJointMasks(network_, providers_[0], providers_[1], a_total,
+                            provider_rngs[0], provider_rngs[1],
+                            config_.fraction_bits, "SEG."));
   // The mask governing counter c: block (g, i) for a-counters, block
-  // (g, source user) for b-counters.
-  auto mask_of_counter = [&](size_t c) -> const BigUInt& {
-    if (c < a_total) return masks[c];
-    size_t rel = c - a_total;
-    size_t g = rel / q;
-    NodeId src = omega[rel % q].from;
-    return masks[g * n + src];
-  };
+  // (g, source user) for b-counters, read from P1's copy of Omega_E'.
+  const std::vector<Arc>& p1_omega = provider_omega[0].arcs;
+  BatchedIntegerShares masked =
+      MaskShares(shares, [&](size_t c) -> const BigUInt& {
+        if (c < a_total) return masks[c];
+        const size_t rel = c - a_total;
+        const size_t g = rel / p1_omega.size();
+        return masks[g * n + p1_omega[rel % p1_omega.size()].from];
+      });
 
-  // ---- Masked shares to H. ----
-  std::vector<BigUInt> masked1(total);
-  std::vector<BigInt> masked2(total);
-  for (size_t c = 0; c < total; ++c) {
-    masked1[c] = mask_of_counter(c) * shares.s1[c];
-    masked2[c] = BigInt(mask_of_counter(c)) * shares.s2[c];
-  }
+  // ---- Masked shares to H; H recombines and divides per segment. ----
   network_->BeginRound("SEG.Steps7-8 (masked shares -> H)");
-  {
-    BinaryWriter w1, w2;
-    w1.WriteVarU64(total);
-    w2.WriteVarU64(total);
-    for (size_t c = 0; c < total; ++c) {
-      WriteBigUInt(&w1, masked1[c]);
-      WriteBigInt(&w2, masked2[c]);
-    }
-    PSI_RETURN_NOT_OK(network_->Send(providers_[0], host_, w1.TakeBuffer()));
-    PSI_RETURN_NOT_OK(network_->Send(providers_[1], host_, w2.TakeBuffer()));
-  }
-
-  // ---- Host: recombine, divide per segment. ----
-  PSI_ASSIGN_OR_RETURN(auto buf1, network_->Recv(host_, providers_[0]));
-  PSI_ASSIGN_OR_RETURN(auto buf2, network_->Recv(host_, providers_[1]));
-  std::vector<BigUInt> recombined(total);
-  {
-    BinaryReader r1(buf1), r2(buf2);
-    uint64_t c1, c2;
-    PSI_RETURN_NOT_OK(r1.ReadVarU64(&c1));
-    PSI_RETURN_NOT_OK(r2.ReadVarU64(&c2));
-    if (c1 != total || c2 != total) {
-      return Status::ProtocolError("masked vector length mismatch");
-    }
-    for (size_t c = 0; c < total; ++c) {
-      BigUInt v1;
-      BigInt v2;
-      PSI_RETURN_NOT_OK(ReadBigUInt(&r1, &v1));
-      PSI_RETURN_NOT_OK(ReadBigInt(&r2, &v2));
-      BigInt value = BigInt(v1) + v2;
-      if (value.IsNegative()) {
-        return Status::ProtocolError("negative recombined counter");
-      }
-      recombined[c] = value.magnitude();
-    }
-  }
-
-  std::unordered_map<uint64_t, size_t> omega_index;
-  omega_index.reserve(q);
-  for (size_t p = 0; p < q; ++p) {
-    omega_index.emplace(PairKey(omega[p].from, omega[p].to), p);
-  }
+  PSI_ASSIGN_OR_RETURN(HostMaskedShares got,
+                       SendMaskedShares(network_, providers_[0], providers_[1],
+                                        host_, masked, total));
+  PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> recombined,
+                       RecombineMaskedShares(got.shares, total));
   SegmentedLinkInfluence out;
   out.per_segment.resize(g_count);
   for (uint32_t g = 0; g < g_count; ++g) {
-    auto& li = out.per_segment[g];
-    li.pairs = host_graph.arcs();
-    li.p.resize(li.pairs.size());
-    for (size_t e = 0; e < li.pairs.size(); ++e) {
-      const Arc& arc = li.pairs[e];
-      auto it = omega_index.find(PairKey(arc.from, arc.to));
-      if (it == omega_index.end()) {
-        return Status::ProtocolError("arc of E missing from Omega");
-      }
-      const BigUInt& denom = recombined[g * n + arc.from];
-      const BigUInt& numer = recombined[a_total + g * q + it->second];
-      li.p[e] = denom.IsZero() ? 0.0 : DivideToDouble(numer, denom);
-    }
+    PSI_ASSIGN_OR_RETURN(
+        out.per_segment[g],
+        DivideMaskedCounters(host_graph.arcs(), omega, recombined.data() + g * n,
+                             recombined.data() + a_total + g * q, /*descale=*/1.0));
   }
   return out;
 }

@@ -16,6 +16,7 @@ const char* ProtocolIdToString(ProtocolId id) {
     case ProtocolId::kJointRandom: return "JointRandom";
     case ProtocolId::kSession: return "Session";
     case ProtocolId::kExec: return "Exec";
+    case ProtocolId::kObliviousTransfer: return "ObliviousTransfer";
   }
   return "Unknown";
 }

@@ -37,16 +37,17 @@ namespace psi {
 
 /// \brief Identifies which protocol driver produced a framed message.
 enum class ProtocolId : uint16_t {
-  kRaw = 0,               ///< Unframed legacy traffic (never on the wire).
-  kSecureSum = 1,         ///< Protocols 1-2 (mpc/secure_sum).
-  kSecureDivision = 3,    ///< Protocol 3 (mpc/secure_division).
-  kLinkInfluence = 4,     ///< Protocol 4 (mpc/link_influence_protocol).
-  kClassAggregation = 5,  ///< Protocol 5 (mpc/class_aggregation).
-  kPropagationGraph = 6,  ///< Protocol 6 (mpc/propagation_protocol).
-  kHomomorphicSum = 7,    ///< Paillier extension (mpc/homomorphic_sum).
-  kJointRandom = 8,       ///< Joint randomness rounds (mpc/joint_random).
-  kSession = 9,           ///< Session resume handshake (mpc/session).
-  kExec = 10,             ///< Remote stage execution (mpc/remote_exec).
+  kRaw = 0,                 ///< Unset: the default of an empty Envelope.
+  kSecureSum = 1,           ///< Protocols 1-2 (mpc/secure_sum).
+  kSecureDivision = 3,      ///< Protocol 3 (mpc/secure_division).
+  kLinkInfluence = 4,       ///< Protocol 4 (mpc/link_influence_protocol).
+  kClassAggregation = 5,    ///< Protocol 5 (mpc/class_aggregation).
+  kPropagationGraph = 6,    ///< Protocol 6 (mpc/propagation_protocol).
+  kHomomorphicSum = 7,      ///< Paillier extension (mpc/homomorphic_sum).
+  kJointRandom = 8,         ///< Joint randomness rounds (mpc/joint_random).
+  kSession = 9,             ///< Session resume handshake (mpc/session).
+  kExec = 10,               ///< Remote stage execution (mpc/remote_exec).
+  kObliviousTransfer = 11,  ///< 1-out-of-N OT (crypto/oblivious_transfer).
 };
 
 /// \brief Human-readable name of a protocol id ("SecureSum").

@@ -58,19 +58,6 @@ std::string Network::DescribeChannel(PartyId from, PartyId to) const {
   return name(from) + " -> " + name(to);
 }
 
-Status Network::CheckSendArgs(PartyId from, PartyId to) const {
-  if (!ValidParty(from) || !ValidParty(to)) {
-    return Status::InvalidArgument("Send: unknown party id");
-  }
-  if (from == to) {
-    return Status::InvalidArgument("Send: a party cannot message itself");
-  }
-  if (rounds_.empty()) {
-    return Status::FailedPrecondition("Send before any BeginRound");
-  }
-  return Status::OK();
-}
-
 void Network::MeterSend(PartyId from, size_t wire_bytes,
                         size_t payload_bytes) {
   rounds_.back().num_messages += 1;
@@ -95,16 +82,18 @@ Status Network::Transmit(PartyId from, PartyId to,
   return Status::OK();
 }
 
-Status Network::Send(PartyId from, PartyId to, std::vector<uint8_t> payload) {
-  PSI_RETURN_NOT_OK(CheckSendArgs(from, to));
-  MeterSend(from, payload.size(), payload.size());
-  return Transmit(from, to, std::move(payload));
-}
-
 Status Network::SendFramed(PartyId from, PartyId to, ProtocolId protocol_id,
                            uint16_t step,
                            const std::vector<uint8_t>& payload) {
-  PSI_RETURN_NOT_OK(CheckSendArgs(from, to));
+  if (!ValidParty(from) || !ValidParty(to)) {
+    return Status::InvalidArgument("SendFramed: unknown party id");
+  }
+  if (from == to) {
+    return Status::InvalidArgument("SendFramed: a party cannot message itself");
+  }
+  if (rounds_.empty()) {
+    return Status::FailedPrecondition("SendFramed before any BeginRound");
+  }
   uint64_t seq = send_seq_[{from, to}]++;
   std::vector<uint8_t> frame =
       SealEnvelope(protocol_id, step, from, seq, payload);

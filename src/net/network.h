@@ -7,16 +7,14 @@
 // is what reproduces the paper's communication-cost evaluation:
 //   NR = communication rounds, NM = total messages, MS = total bytes.
 //
-// Two transports coexist:
-//  * Send/Recv — raw byte buffers, exactly as metered by the Table benches'
-//    analytic model (payload bytes == wire bytes).
-//  * SendFramed/RecvValidated — typed envelopes (net/envelope.h) with
-//    per-channel sequence numbers and CRC validation. RecvValidated never
-//    hands a corrupt, truncated, duplicated, reordered or mistagged frame to
-//    a protocol decoder: it discards stale duplicates, stashes early frames,
-//    requests bounded retransmission of missing/damaged ones, and returns a
-//    clean ProtocolError when the channel cannot be repaired. Fault
-//    injection layers (net/fault.h) override the virtual hooks.
+// Every message travels one way: SendFramed seals it in a typed envelope
+// (net/envelope.h) with a per-channel sequence number and a CRC, and
+// RecvValidated opens it. RecvValidated never hands a corrupt, truncated,
+// duplicated, reordered or mistagged frame to a protocol decoder: it
+// discards stale duplicates, stashes early frames, requests bounded
+// retransmission of missing/damaged ones, and returns a clean ProtocolError
+// when the channel cannot be repaired. Transport backends and fault
+// injection layers (net/fault.h) override the protected hooks beneath it.
 
 #ifndef PSI_NET_NETWORK_H_
 #define PSI_NET_NETWORK_H_
@@ -117,19 +115,11 @@ class Network {
   /// proceeds only once all are delivered.
   virtual void BeginRound(std::string label);
 
-  /// \brief Sends a raw `payload` from `from` to `to` (metered).
-  [[nodiscard]] Status Send(PartyId from, PartyId to, std::vector<uint8_t> payload);
-
   /// \brief Seals `payload` in a typed envelope (protocol id, step tag,
   /// sender, per-channel sequence number, CRC) and sends it. Wire bytes are
   /// payload size plus the fixed kEnvelopeOverheadBytes.
   [[nodiscard]] Status SendFramed(PartyId from, PartyId to, ProtocolId protocol_id,
                     uint16_t step, const std::vector<uint8_t>& payload);
-
-  /// \brief Receives the oldest pending message sent by `from` to `to`.
-  /// Returns FailedPrecondition (naming both parties and the current round)
-  /// if none is pending.
-  [[nodiscard]] virtual Result<std::vector<uint8_t>> Recv(PartyId to, PartyId from);
 
   /// \brief Receives the next in-sequence framed message on (from -> to),
   /// validating magic, checksum, sender, protocol id and step tag before
@@ -202,17 +192,21 @@ class Network {
  protected:
   using ChannelKey = std::pair<PartyId, PartyId>;  // (from, to).
 
-  /// \brief Argument validation shared by both send paths.
-  [[nodiscard]] Status CheckSendArgs(PartyId from, PartyId to) const;
-
   /// \brief Accounts one transmission to the current round.
   void MeterSend(PartyId from, size_t wire_bytes, size_t payload_bytes);
+
+  /// \brief Takes the oldest pending frame sent by `from` to `to` out of
+  /// the mailbox, unvalidated: the hook RecvValidated reads through.
+  /// Returns FailedPrecondition (naming both parties and the current round)
+  /// if none is pending.
+  [[nodiscard]] virtual Result<std::vector<uint8_t>> Recv(PartyId to,
+                                                          PartyId from);
 
   /// \brief Enqueues a frame without metering. `front` models reordering.
   void Deliver(PartyId from, PartyId to, std::vector<uint8_t> frame,
                bool front = false);
 
-  /// \brief The delivery hook both send paths funnel through after
+  /// \brief The delivery hook SendFramed funnels through after
   /// validation and metering. Fault-injection layers override this to drop,
   /// duplicate, reorder, corrupt, truncate or delay the frame.
   [[nodiscard]] virtual Status Transmit(PartyId from, PartyId to,
@@ -313,6 +307,17 @@ template <typename T>
                     result.status().message() + " [drained: " + drained + "]");
     }
   }
+  return result;
+}
+
+/// \brief DrainOnError for a driver's outermost entry: drains on success
+/// too, because fault layers can leave stale duplicates or released delayed
+/// frames behind even then. SessionOrchestrator does the same for session
+/// drivers, so no completed run leaks frames into whatever runs next.
+template <typename T>
+[[nodiscard]] Result<T> DrainAfterRun(Network* network, Result<T> result) {
+  if (!result.ok()) return DrainOnError(network, std::move(result));
+  (void)network->DrainAll();
   return result;
 }
 

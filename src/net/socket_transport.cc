@@ -204,7 +204,7 @@ size_t SocketNetwork::SentLogFrames() const {
 void SocketNetwork::LogSent(PartyId from, PartyId to,
                             const std::vector<uint8_t>& frame) {
   auto seq = PeekEnvelopeSeq(frame);
-  if (!seq.ok()) return;  // Unframed sends are never retransmitted.
+  if (!seq.ok()) return;  // A headerless frame has no sequence to serve.
   auto& log = sent_log_[{from, to}];
   log.erase(log.begin(), log.lower_bound(ExpectedRecvSeq(from, to)));
   log.insert_or_assign(seq.ValueOrDie(), frame);
@@ -380,15 +380,6 @@ Status SocketNetwork::WaitForPending(PartyId to, PartyId from,
     if (budget_ms == 0 || now >= deadline) return Status::OK();
     PSI_RETURN_NOT_OK(PumpAll(deadline - now));
   }
-}
-
-Result<std::vector<uint8_t>> SocketNetwork::Recv(PartyId to, PartyId from) {
-  if (!HasPending(to, from)) {
-    // The frame may still be in flight through a daemon; give the event
-    // loop the receive window before reporting the empty mailbox.
-    PSI_RETURN_NOT_OK(WaitForPending(to, from, config_.recv_timeout_ms));
-  }
-  return Network::Recv(to, from);
 }
 
 Result<std::vector<uint8_t>> SocketNetwork::RequestRetransmit(PartyId to,

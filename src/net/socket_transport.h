@@ -136,12 +136,6 @@ class SocketNetwork : public Network, public RemoteExecTransport {
   /// \brief Releases fault-delayed frames, then opens the round as usual.
   void BeginRound(std::string label) override;
 
-  /// \brief Recv that first pumps the event loop (bounded by the receive
-  /// timeout) when nothing is pending on a daemon-routed channel, so raw
-  /// Send/Recv protocols work unchanged over the asynchronous wire.
-  [[nodiscard]] Result<std::vector<uint8_t>> Recv(PartyId to,
-                                                  PartyId from) override;
-
   /// \brief Serves retransmissions from the pristine sent log (through the
   /// fault pipeline when an injector is attached), metered as fresh sends.
   /// Refused while the link carrying the channel is dead: a dead wire

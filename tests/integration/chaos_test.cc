@@ -1,4 +1,7 @@
-// Chaos harness: Protocols 4 and 6 under hundreds of seeded fault schedules.
+// Chaos harness: every protocol driver under hundreds of seeded fault
+// schedules — Protocols 4 and 6, and the drivers built on Protocol 4's
+// steps (the non-exclusive pipeline, multi-host, segmented, perfect-hiding
+// and user-score).
 //
 // The invariant (docs/FAULTS.md): with the fault layer between the drivers
 // and the wire, a protocol run under ANY fault schedule either produces
@@ -20,7 +23,12 @@
 #include "graph/generators.h"
 #include "mpc/homomorphic_sum.h"
 #include "mpc/link_influence_protocol.h"
+#include "mpc/multi_host.h"
+#include "mpc/non_exclusive.h"
+#include "mpc/perfect_hiding.h"
 #include "mpc/propagation_protocol.h"
+#include "mpc/secure_user_score.h"
+#include "mpc/segmented_influence.h"
 #include "mpc/session.h"
 #include "net/cost_model.h"
 #include "net/fault.h"
@@ -640,6 +648,187 @@ TEST(ChaosTest, FullRestartBaselineRecomputesPackedCryptoOps) {
     }
   }
   ASSERT_TRUE(found);
+}
+
+// ---------------------------------------------------------------------------
+// The drivers that reuse Protocol 4's steps. Each run flattens its output to
+// doubles so one sweep checks them all.
+
+// Fixed-seed party generators: two runs built from the same base draw the
+// same randomness, so two completed runs must agree exactly.
+struct DriverRngs {
+  DriverRngs(size_t m, uint64_t base)
+      : host(base), pair_secret(base + 1), class_secret(base + 2) {
+    for (size_t k = 0; k < m; ++k) {
+      store.push_back(std::make_unique<Rng>(base + 10 + k));
+      providers.push_back(store.back().get());
+    }
+  }
+  Rng host, pair_secret, class_secret;
+  std::vector<std::unique_ptr<Rng>> store;
+  std::vector<Rng*> providers;
+};
+
+std::vector<double> Flatten(const std::vector<LinkInfluence>& outs) {
+  std::vector<double> flat;
+  for (const LinkInfluence& li : outs) {
+    flat.insert(flat.end(), li.p.begin(), li.p.end());
+  }
+  return flat;
+}
+
+// Runs `run` fault-free for the baseline, then under `seeds` RandomPlan
+// schedules: every run must return the baseline bit for bit or a described
+// error, and leave every mailbox drained.
+template <typename Run>
+void ExpectChaosInvariant(size_t num_parties, uint64_t seeds, Run run) {
+  Network clean;
+  Result<std::vector<double>> baseline = run(&clean);
+  ASSERT_TRUE(baseline.ok()) << baseline.status().message();
+  uint64_t ok_runs = 0, failed_runs = 0, faults_injected = 0;
+  for (uint64_t seed = 0; seed < seeds; ++seed) {
+    FaultyNetwork net(FaultPlan::RandomPlan(seed, num_parties));
+    Result<std::vector<double>> result = run(&net);
+    faults_injected += net.fault_stats().injected();
+    ASSERT_EQ(net.PendingCount(), 0u) << "seed=" << seed;
+    if (result.ok()) {
+      ++ok_runs;
+      ASSERT_EQ(result.ValueOrDie(), baseline.ValueOrDie()) << "seed=" << seed;
+    } else {
+      ++failed_runs;
+      ASSERT_FALSE(result.status().message().empty()) << "seed=" << seed;
+    }
+  }
+  EXPECT_GT(faults_injected, 0u);
+  EXPECT_GT(ok_runs, 0u);
+  EXPECT_GT(failed_runs, 0u);
+}
+
+TEST(ChaosTest, NonExclusivePipelineSurvivesRandomFaultSchedules) {
+  // Protocol 5 for every shared class, then Protocol 4 with the aggregates.
+  WorldData w = MakeWorldData(/*m=*/3, /*n=*/16, /*arcs=*/50, /*actions=*/20,
+                              /*seed=*/77);
+  Rng rng(91);
+  ActionClassConfig classes =
+      ActionClassConfig::Random(&rng, w.actions, /*num_classes=*/3, w.m,
+                                /*min_group=*/2, /*max_group=*/w.m)
+          .ValueOrDie();
+  std::vector<ActionLog> logs =
+      NonExclusivePartition(&rng, w.log, w.m, classes).ValueOrDie();
+  ExpectChaosInvariant(w.m + 1, kNumChaosSeeds,
+                       [&](Network* net) -> Result<std::vector<double>> {
+    Parties parties = RegisterParties(net, w.m);
+    DriverRngs rngs(w.m, 300);
+    NonExclusiveConfig cfg;
+    cfg.protocol4.h = 4;
+    NonExclusivePipeline pipe(net, parties.host, parties.providers, cfg);
+    PSI_ASSIGN_OR_RETURN(
+        LinkInfluence out,
+        pipe.Run(*w.graph, w.actions, logs, classes, &rngs.host, rngs.providers,
+                 &rngs.pair_secret, &rngs.class_secret));
+    return out.p;
+  });
+}
+
+TEST(ChaosTest, MultiHostSurvivesRandomFaultSchedules) {
+  WorldData w = MakeWorldData(/*m=*/3, /*n=*/16, /*arcs=*/50, /*actions=*/20,
+                              /*seed=*/78);
+  // Two platforms, each holding a random slice of the arcs.
+  Rng rng(92);
+  std::vector<std::unique_ptr<SocialGraph>> host_graphs;
+  std::vector<const SocialGraph*> graph_ptrs;
+  for (size_t h = 0; h < 2; ++h) {
+    host_graphs.push_back(std::make_unique<SocialGraph>(w.n));
+    for (const Arc& a : w.graph->arcs()) {
+      if (rng.Bernoulli(0.6)) PSI_CHECK_OK(host_graphs.back()->AddArc(a.from, a.to));
+    }
+    graph_ptrs.push_back(host_graphs.back().get());
+  }
+  ExpectChaosInvariant(2 + w.m, kNumChaosSeeds,
+                       [&](Network* net) -> Result<std::vector<double>> {
+    std::vector<PartyId> hosts = {net->RegisterParty("H1"),
+                                  net->RegisterParty("H2")};
+    std::vector<PartyId> providers;
+    providers.reserve(w.m);
+    for (size_t k = 0; k < w.m; ++k) {
+      providers.push_back(net->RegisterParty("P" + std::to_string(k + 1)));
+    }
+    DriverRngs rngs(w.m, 400);
+    Rng host2_rng(450);
+    Protocol4Config cfg;
+    cfg.h = 4;
+    MultiHostLinkInfluenceProtocol proto(net, hosts, providers, cfg);
+    PSI_ASSIGN_OR_RETURN(
+        std::vector<LinkInfluence> outs,
+        proto.Run(graph_ptrs, w.actions, w.provider_logs,
+                  {&rngs.host, &host2_rng}, rngs.providers, &rngs.pair_secret));
+    return Flatten(outs);
+  });
+}
+
+TEST(ChaosTest, SegmentedInfluenceSurvivesRandomFaultSchedules) {
+  WorldData w = MakeWorldData(/*m=*/3, /*n=*/16, /*arcs=*/50, /*actions=*/20,
+                              /*seed=*/79);
+  Rng rng(93);
+  std::vector<uint32_t> segment_of_action(w.actions);
+  for (uint32_t& g : segment_of_action) {
+    g = static_cast<uint32_t>(rng.UniformU64(3));
+  }
+  ExpectChaosInvariant(w.m + 1, kNumChaosSeeds,
+                       [&](Network* net) -> Result<std::vector<double>> {
+    Parties parties = RegisterParties(net, w.m);
+    DriverRngs rngs(w.m, 500);
+    Protocol4Config cfg;
+    cfg.h = 4;
+    SegmentedInfluenceProtocol proto(net, parties.host, parties.providers, cfg);
+    PSI_ASSIGN_OR_RETURN(
+        SegmentedLinkInfluence out,
+        proto.Run(*w.graph, w.actions, w.provider_logs, segment_of_action,
+                  /*num_segments=*/3, &rngs.host, rngs.providers,
+                  &rngs.pair_secret));
+    return Flatten(out.per_segment);
+  });
+}
+
+TEST(ChaosTest, PerfectHidingSurvivesRandomFaultSchedules) {
+  // Small n: the oblivious transfers cost |E| (n^2 - n) RSA decryptions and
+  // every run generates two OT keys, so the sweep runs a quarter of the
+  // seeds.
+  WorldData w = MakeWorldData(/*m=*/2, /*n=*/5, /*arcs=*/8, /*actions=*/10,
+                              /*seed=*/80);
+  ExpectChaosInvariant(w.m + 1, kNumChaosSeeds / 4,
+                       [&](Network* net) -> Result<std::vector<double>> {
+    Parties parties = RegisterParties(net, w.m);
+    DriverRngs rngs(w.m, 600);
+    PerfectHidingConfig cfg;
+    cfg.h = 4;
+    cfg.ot_rsa_bits = 256;
+    PerfectHidingLinkInfluenceProtocol proto(net, parties.host,
+                                             parties.providers, cfg);
+    PSI_ASSIGN_OR_RETURN(LinkInfluence out,
+                         proto.Run(*w.graph, w.actions, w.provider_logs,
+                                   &rngs.host, rngs.providers, &rngs.pair_secret));
+    return out.p;
+  });
+}
+
+TEST(ChaosTest, SecureUserScoreSurvivesRandomFaultSchedules) {
+  // Protocol 6, then Protocol 2 and the masked reveal of the a_i; each run
+  // pays an RSA key generation, like the packed sweeps.
+  WorldData w = MakeWorldData(/*m=*/3, /*n=*/14, /*arcs=*/40, /*actions=*/8,
+                              /*seed=*/88);
+  ExpectChaosInvariant(w.m + 1, (kNumChaosSeeds * 3) / 5,
+                       [&](Network* net) -> Result<std::vector<double>> {
+    Parties parties = RegisterParties(net, w.m);
+    DriverRngs rngs(w.m, 700);
+    SecureScoreConfig cfg;
+    cfg.protocol6.rsa_bits = 384;
+    cfg.protocol6.encryption = Protocol6Config::EncryptionMode::kHybrid;
+    cfg.protocol6.obfuscation_factor = 1.5;
+    SecureUserScoreProtocol proto(net, parties.host, parties.providers, cfg);
+    return proto.Run(*w.graph, w.actions, w.provider_logs, &rngs.host,
+                     rngs.providers, &rngs.pair_secret);
+  });
 }
 
 }  // namespace

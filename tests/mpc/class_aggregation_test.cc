@@ -9,6 +9,7 @@
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
 #include "graph/generators.h"
+#include "net/envelope.h"
 
 namespace psi {
 namespace {
@@ -223,6 +224,55 @@ TEST(Protocol5Test, CommunicationPattern) {
   EXPECT_EQ(report.num_rounds, 2u);
   EXPECT_EQ(report.num_messages, 4u);  // d logs in, 1 counter bundle out.
   EXPECT_EQ(f.net.PendingCount(), 0u);
+}
+
+// A misbehaving aggregator: every frame P-hat sends is re-sealed with one
+// more counter, for an obfuscated user id no injection maps to.
+class OutOfRangeIdNetwork : public Network {
+ public:
+  OutOfRangeIdNetwork(PartyId aggregator, uint64_t h)
+      : aggregator_(aggregator), h_(h) {}
+
+ protected:
+  Status Transmit(PartyId from, PartyId to,
+                  std::vector<uint8_t> frame) override {
+    if (from == aggregator_) {
+      PSI_ASSIGN_OR_RETURN(Envelope env, OpenEnvelope(frame));
+      internal::ObfuscatedCounters counters;
+      PSI_RETURN_NOT_OK(internal::UnpackCounters(env.payload, h_, &counters));
+      counters.a[0xFFFFFFFFu] = 1;
+      frame = SealEnvelope(env.protocol_id, env.step, env.sender, env.seq,
+                           internal::PackCounters(counters, h_));
+    }
+    return Network::Transmit(from, to, std::move(frame));
+  }
+
+ private:
+  PartyId aggregator_;
+  uint64_t h_;
+};
+
+TEST(Protocol5Test, OutOfRangeObfuscatedIdIsAProtocolError) {
+  P5Fixture f(3);
+  OutOfRangeIdNetwork net(/*aggregator=*/0, /*h=*/4);
+  PartyId aggregator = net.RegisterParty("P-hat");
+  std::vector<PartyId> group;
+  group.reserve(3);
+  for (size_t k = 0; k < 3; ++k) {
+    group.push_back(net.RegisterParty("P" + std::to_string(k + 1)));
+  }
+  ASSERT_EQ(aggregator, 0u);
+  ClassAggregationProtocol proto(
+      &net, group, aggregator,
+      MakeConfig(ObfuscationMethod::kEnhanced, f.log.MaxTime() + 1));
+  auto result = proto.Run(f.class_logs, 25, f.group_secret.get(), "t.");
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kProtocolError);
+  EXPECT_NE(result.status().message().find("aggregator P-hat"),
+            std::string::npos)
+      << result.status().message();
+  EXPECT_NE(result.status().message().find("4294967295"), std::string::npos);
+  EXPECT_EQ(net.PendingCount(), 0u);
 }
 
 }  // namespace

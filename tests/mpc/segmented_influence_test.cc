@@ -7,6 +7,8 @@
 #include "actionlog/generator.h"
 #include "actionlog/partition.h"
 #include "graph/generators.h"
+#include "mpc/wire.h"
+#include "net/envelope.h"
 
 namespace psi {
 namespace {
@@ -121,6 +123,50 @@ TEST(SegmentedInfluenceTest, Validation) {
                 .status()
                 .code(),
             StatusCode::kUnimplemented);
+}
+
+// A host that publishes an Omega with one arc endpoint far outside [0, n):
+// every Protocol 4 frame the first `num_hosts` parties send is re-sealed
+// with the arc (5e7, 0) appended.
+class OutOfRangeOmegaNetwork : public Network {
+ public:
+  explicit OutOfRangeOmegaNetwork(PartyId num_hosts) : num_hosts_(num_hosts) {}
+
+ protected:
+  Status Transmit(PartyId from, PartyId to,
+                  std::vector<uint8_t> frame) override {
+    if (from < num_hosts_) {
+      PSI_ASSIGN_OR_RETURN(Envelope env, OpenEnvelope(frame));
+      if (env.protocol_id == ProtocolId::kLinkInfluence) {
+        std::vector<Arc> arcs;
+        PSI_RETURN_NOT_OK(wire::UnpackArcs(env.payload, &arcs));
+        arcs.push_back(Arc{50000000, 0});
+        frame = SealEnvelope(env.protocol_id, env.step, env.sender, env.seq,
+                             wire::PackArcs(arcs));
+      }
+    }
+    return Network::Transmit(from, to, std::move(frame));
+  }
+
+ private:
+  PartyId num_hosts_;
+};
+
+TEST(SegmentedInfluenceTest, OutOfRangeOmegaArcIsAProtocolError) {
+  SegFixture f(3, 2);
+  // The fixture's parties, registered in the same order: H first.
+  OutOfRangeOmegaNetwork net(/*num_hosts=*/1);
+  net.RegisterParty("H");
+  for (size_t k = 0; k < 3; ++k) net.RegisterParty("P" + std::to_string(k + 1));
+  Protocol4Config cfg;
+  SegmentedInfluenceProtocol proto(&net, f.host, f.providers, cfg);
+  auto result = proto.Run(*f.graph, 60, f.provider_logs, f.segments, 2,
+                          f.host_rng.get(), f.RngPtrs(), f.pair_secret.get());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kProtocolError);
+  EXPECT_NE(result.status().message().find("out of range"), std::string::npos)
+      << result.status().message();
+  EXPECT_EQ(net.PendingCount(), 0u);
 }
 
 }  // namespace

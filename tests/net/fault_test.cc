@@ -28,18 +28,21 @@ TEST_F(FaultTest, ZeroPlanBehavesLikeLosslessNetwork) {
   net.BeginRound("r1");
   ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1,
                              std::vector<uint8_t>(100)).ok());
-  ASSERT_TRUE(net.Send(a_, b_, std::vector<uint8_t>(7)).ok());
+  ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1,
+                             std::vector<uint8_t>(7)).ok());
   auto framed = net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1);
   ASSERT_TRUE(framed.ok());
   EXPECT_EQ(framed.ValueOrDie().size(), 100u);
-  ASSERT_TRUE(net.Recv(b_, a_).ok());
+  framed = net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1);
+  ASSERT_TRUE(framed.ok());
+  EXPECT_EQ(framed.ValueOrDie().size(), 7u);
 
   EXPECT_EQ(net.fault_stats().injected(), 0u);
   EXPECT_EQ(net.fault_stats().retransmits_served, 0u);
   auto report = net.Report();
   EXPECT_EQ(report.num_messages, 2u);
   EXPECT_EQ(report.num_payload_bytes, 107u);
-  EXPECT_EQ(report.num_bytes, 107u + kEnvelopeOverheadBytes);
+  EXPECT_EQ(report.num_bytes, 107u + 2 * kEnvelopeOverheadBytes);
 }
 
 TEST_F(FaultTest, DroppedFrameRecoveredByRetransmission) {
@@ -295,18 +298,28 @@ TEST_F(FaultTest, CrashRestartWindowSilencesOnlyItsRounds) {
   FaultyNetwork net(plan);
   Register(&net);
 
+  auto send = [&](uint8_t value) {
+    return net.SendFramed(b_, a_, ProtocolId::kSecureSum, 1, {value});
+  };
+  auto recv = [&]() {
+    return net.RecvValidated(a_, b_, ProtocolId::kSecureSum, 1);
+  };
+
   net.BeginRound("r0");  // Round index 0: before the window, b is up.
-  ASSERT_TRUE(net.Send(b_, a_, {1}).ok());
-  EXPECT_TRUE(net.Recv(a_, b_).ok());
+  ASSERT_TRUE(send(1).ok());
+  EXPECT_TRUE(recv().ok());
 
   net.BeginRound("r1");  // Round index 1: inside (0, 2), b is down.
-  ASSERT_TRUE(net.Send(b_, a_, {2}).ok());
+  ASSERT_TRUE(send(2).ok());
   EXPECT_FALSE(net.HasPending(a_, b_));
   EXPECT_EQ(net.fault_stats().crash_dropped, 1u);
+  // The crashed party cannot serve its lost frame either.
+  EXPECT_FALSE(recv().ok());
 
   net.BeginRound("r2");  // Round index 2: restarted, b is up again.
-  ASSERT_TRUE(net.Send(b_, a_, {3}).ok());
-  auto msg = net.Recv(a_, b_);
+  net.ResyncChannel(b_, a_);  // A resume skips what the crash swallowed.
+  ASSERT_TRUE(send(3).ok());
+  auto msg = recv();
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(msg.ValueOrDie()[0], 3);
 }

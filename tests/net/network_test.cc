@@ -12,8 +12,22 @@ class NetworkTest : public ::testing::Test {
     b_ = net_.RegisterParty("B");
     c_ = net_.RegisterParty("C");
   }
+  Status Send(PartyId from, PartyId to, const std::vector<uint8_t>& payload) {
+    return net_.SendFramed(from, to, ProtocolId::kSecureSum, 1, payload);
+  }
+  Result<std::vector<uint8_t>> Recv(PartyId to, PartyId from) {
+    return net_.RecvValidated(to, from, ProtocolId::kSecureSum, 1);
+  }
   Network net_;
   PartyId a_, b_, c_;
+};
+
+// A peer that puts bytes on the wire without sealing them.
+class RawInjectingNetwork : public Network {
+ public:
+  void InjectRaw(PartyId from, PartyId to, std::vector<uint8_t> bytes) {
+    Deliver(from, to, std::move(bytes));
+  }
 };
 
 TEST_F(NetworkTest, RegisterAssignsSequentialIds) {
@@ -26,85 +40,87 @@ TEST_F(NetworkTest, RegisterAssignsSequentialIds) {
 
 TEST_F(NetworkTest, SendRecvDeliversPayload) {
   net_.BeginRound("r1");
-  ASSERT_TRUE(net_.Send(a_, b_, {1, 2, 3}).ok());
-  auto msg = net_.Recv(b_, a_).ValueOrDie();
+  ASSERT_TRUE(Send(a_, b_, {1, 2, 3}).ok());
+  auto msg = Recv(b_, a_).ValueOrDie();
   EXPECT_EQ(msg, (std::vector<uint8_t>{1, 2, 3}));
 }
 
 TEST_F(NetworkTest, FifoOrderPerChannel) {
   net_.BeginRound("r1");
-  ASSERT_TRUE(net_.Send(a_, b_, {1}).ok());
-  ASSERT_TRUE(net_.Send(a_, b_, {2}).ok());
-  EXPECT_EQ(net_.Recv(b_, a_).ValueOrDie()[0], 1);
-  EXPECT_EQ(net_.Recv(b_, a_).ValueOrDie()[0], 2);
+  ASSERT_TRUE(Send(a_, b_, {1}).ok());
+  ASSERT_TRUE(Send(a_, b_, {2}).ok());
+  EXPECT_EQ(Recv(b_, a_).ValueOrDie()[0], 1);
+  EXPECT_EQ(Recv(b_, a_).ValueOrDie()[0], 2);
 }
 
 TEST_F(NetworkTest, ChannelsAreDirectional) {
   net_.BeginRound("r1");
-  ASSERT_TRUE(net_.Send(a_, b_, {9}).ok());
-  EXPECT_FALSE(net_.Recv(a_, b_).ok());   // Wrong direction.
-  EXPECT_FALSE(net_.Recv(b_, c_).ok());   // Wrong sender.
-  EXPECT_TRUE(net_.Recv(b_, a_).ok());
+  ASSERT_TRUE(Send(a_, b_, {9}).ok());
+  EXPECT_FALSE(Recv(a_, b_).ok());  // Wrong direction.
+  EXPECT_FALSE(Recv(b_, c_).ok());  // Wrong sender.
+  EXPECT_TRUE(Recv(b_, a_).ok());
 }
 
 TEST_F(NetworkTest, RecvOnEmptyChannelFails) {
-  EXPECT_EQ(net_.Recv(b_, a_).status().code(),
-            StatusCode::kFailedPrecondition);
+  // The lossless network keeps no retransmission store, so a frame that was
+  // never sent is a clean ProtocolError once the attempts run out.
+  EXPECT_EQ(Recv(b_, a_).status().code(), StatusCode::kProtocolError);
 }
 
 TEST_F(NetworkTest, SendValidations) {
   net_.BeginRound("r1");
-  EXPECT_EQ(net_.Send(a_, a_, {}).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(net_.Send(a_, 99, {}).code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(net_.Send(99, a_, {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Send(a_, a_, {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Send(a_, 99, {}).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Send(99, a_, {}).code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(NetworkTest, SendBeforeRoundFails) {
-  EXPECT_EQ(net_.Send(a_, b_, {1}).code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(Send(a_, b_, {1}).code(), StatusCode::kFailedPrecondition);
 }
 
 TEST_F(NetworkTest, MeteringCountsMessagesAndBytes) {
   net_.BeginRound("round one");
-  ASSERT_TRUE(net_.Send(a_, b_, std::vector<uint8_t>(10)).ok());
-  ASSERT_TRUE(net_.Send(b_, c_, std::vector<uint8_t>(20)).ok());
+  ASSERT_TRUE(Send(a_, b_, std::vector<uint8_t>(10)).ok());
+  ASSERT_TRUE(Send(b_, c_, std::vector<uint8_t>(20)).ok());
   net_.BeginRound("round two");
-  ASSERT_TRUE(net_.Send(c_, a_, std::vector<uint8_t>(5)).ok());
+  ASSERT_TRUE(Send(c_, a_, std::vector<uint8_t>(5)).ok());
 
   auto report = net_.Report();
   EXPECT_EQ(report.num_rounds, 2u);
   EXPECT_EQ(report.num_messages, 3u);
-  EXPECT_EQ(report.num_bytes, 35u);
+  EXPECT_EQ(report.num_payload_bytes, 35u);
+  EXPECT_EQ(report.num_bytes, 35u + 3 * kEnvelopeOverheadBytes);
   ASSERT_EQ(report.rounds.size(), 2u);
   EXPECT_EQ(report.rounds[0].label, "round one");
   EXPECT_EQ(report.rounds[0].num_messages, 2u);
-  EXPECT_EQ(report.rounds[0].num_bytes, 30u);
+  EXPECT_EQ(report.rounds[0].num_bytes, 30u + 2 * kEnvelopeOverheadBytes);
   EXPECT_EQ(report.rounds[1].num_messages, 1u);
 }
 
 TEST_F(NetworkTest, PerPartyByteAccounting) {
   net_.BeginRound("r");
-  ASSERT_TRUE(net_.Send(a_, b_, std::vector<uint8_t>(7)).ok());
-  ASSERT_TRUE(net_.Send(a_, c_, std::vector<uint8_t>(3)).ok());
-  EXPECT_EQ(net_.BytesSentBy(a_), 10u);
+  ASSERT_TRUE(Send(a_, b_, std::vector<uint8_t>(7)).ok());
+  ASSERT_TRUE(Send(a_, c_, std::vector<uint8_t>(3)).ok());
+  EXPECT_EQ(net_.BytesSentBy(a_), 10u + 2 * kEnvelopeOverheadBytes);
   EXPECT_EQ(net_.BytesSentBy(b_), 0u);
 }
 
 TEST_F(NetworkTest, PendingCountAndHasPending) {
   net_.BeginRound("r");
   EXPECT_EQ(net_.PendingCount(), 0u);
-  ASSERT_TRUE(net_.Send(a_, b_, {1}).ok());
+  ASSERT_TRUE(Send(a_, b_, {1}).ok());
   EXPECT_TRUE(net_.HasPending(b_, a_));
   EXPECT_FALSE(net_.HasPending(a_, b_));
   EXPECT_EQ(net_.PendingCount(), 1u);
-  ASSERT_TRUE(net_.Recv(b_, a_).ok());
+  ASSERT_TRUE(Recv(b_, a_).ok());
   EXPECT_EQ(net_.PendingCount(), 0u);
 }
 
 TEST_F(NetworkTest, ResetMeteringRequiresEmptyMailboxes) {
   net_.BeginRound("r");
-  ASSERT_TRUE(net_.Send(a_, b_, {1}).ok());
+  ASSERT_TRUE(Send(a_, b_, {1}).ok());
   EXPECT_EQ(net_.ResetMetering().code(), StatusCode::kFailedPrecondition);
-  ASSERT_TRUE(net_.Recv(b_, a_).ok());
+  ASSERT_TRUE(Recv(b_, a_).ok());
   ASSERT_TRUE(net_.ResetMetering().ok());
   EXPECT_EQ(net_.Report().num_rounds, 0u);
   EXPECT_EQ(net_.BytesSentBy(a_), 0u);
@@ -112,7 +128,7 @@ TEST_F(NetworkTest, ResetMeteringRequiresEmptyMailboxes) {
 
 TEST_F(NetworkTest, ReportRenderingContainsTotals) {
   net_.BeginRound("alpha");
-  ASSERT_TRUE(net_.Send(a_, b_, std::vector<uint8_t>(100)).ok());
+  ASSERT_TRUE(Send(a_, b_, std::vector<uint8_t>(100)).ok());
   std::string s = net_.Report().ToString();
   EXPECT_NE(s.find("alpha"), std::string::npos);
   EXPECT_NE(s.find("TOTAL"), std::string::npos);
@@ -121,28 +137,29 @@ TEST_F(NetworkTest, ReportRenderingContainsTotals) {
 
 TEST_F(NetworkTest, RecvErrorNamesPartiesAndRound) {
   net_.BeginRound("P4.Step2 (H -> P_k: Omega_E')");
-  auto r = net_.Recv(b_, a_);
+  auto r = Recv(b_, a_);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("A -> B"), std::string::npos);
   EXPECT_NE(r.status().message().find("P4.Step2"), std::string::npos);
 }
 
 TEST_F(NetworkTest, RecvErrorBeforeAnyRound) {
-  auto r = net_.Recv(b_, a_);
+  auto r = Recv(b_, a_);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("<no round>"), std::string::npos);
 }
 
 TEST_F(NetworkTest, DrainReportsAndClearsUndelivered) {
   net_.BeginRound("r");
-  ASSERT_TRUE(net_.Send(a_, c_, std::vector<uint8_t>(4)).ok());
-  ASSERT_TRUE(net_.Send(a_, c_, std::vector<uint8_t>(9)).ok());
-  ASSERT_TRUE(net_.Send(b_, c_, std::vector<uint8_t>(2)).ok());
-  ASSERT_TRUE(net_.Send(a_, b_, std::vector<uint8_t>(1)).ok());
+  ASSERT_TRUE(Send(a_, c_, std::vector<uint8_t>(4)).ok());
+  ASSERT_TRUE(Send(a_, c_, std::vector<uint8_t>(9)).ok());
+  ASSERT_TRUE(Send(b_, c_, std::vector<uint8_t>(2)).ok());
+  ASSERT_TRUE(Send(a_, b_, std::vector<uint8_t>(1)).ok());
 
+  // Sizes are wire sizes: payload plus the 29-byte envelope.
   std::string summary = net_.Drain(c_);
   EXPECT_NE(summary.find("2 message(s) from A"), std::string::npos);
-  EXPECT_NE(summary.find("4 9 bytes"), std::string::npos);
+  EXPECT_NE(summary.find("33 38 bytes"), std::string::npos);
   EXPECT_NE(summary.find("1 message(s) from B"), std::string::npos);
   // C's mailboxes are now empty, B's message is untouched.
   EXPECT_EQ(net_.PendingCount(), 1u);
@@ -184,9 +201,12 @@ TEST_F(NetworkTest, RecvValidatedRejectsWrongProtocolOrStep) {
 }
 
 TEST_F(NetworkTest, RecvValidatedRejectsRawTraffic) {
-  net_.BeginRound("r");
-  ASSERT_TRUE(net_.Send(a_, b_, {1, 2, 3}).ok());
-  auto r = net_.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1);
+  RawInjectingNetwork net;
+  PartyId a = net.RegisterParty("A");
+  PartyId b = net.RegisterParty("B");
+  net.BeginRound("r");
+  net.InjectRaw(a, b, {1, 2, 3});
+  auto r = net.RecvValidated(b, a, ProtocolId::kSecureSum, 1);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kProtocolError);
 }
