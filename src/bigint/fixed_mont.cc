@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "bigint/limb_kernel.h"
+#include "bigint/montgomery.h"
 #include "bigint/pow_window.h"
 #include "common/logging.h"
 
@@ -66,6 +67,20 @@ void FromDigits(const uint64_t* digits, uint64_t* limbs) {
     acc >>= 64;
   }
 }
+
+// carry*2^(64L) + v minus n when that is >= n, selected by mask rather than
+// by a branch; returns the new carry.
+template <size_t L>
+uint64_t SubIfAtLeast(uint64_t carry, uint64_t* v, const uint64_t* n) {
+  uint64_t t[L];
+  const uint64_t borrow = limb_kernel::SubFixed<L>(v, n, t);
+  const uint64_t keep = 0 - static_cast<uint64_t>(carry >= borrow);
+  for (size_t i = 0; i < L; ++i) v[i] = (t[i] & keep) | (v[i] & ~keep);
+  return carry - (borrow & keep);
+}
+
+template <size_t L>
+class FixedCrtPowImpl;
 #endif  // PSI_LIMB_KERNEL_X86
 
 template <size_t L>
@@ -238,15 +253,12 @@ class FixedMontEngine final : public FixedMontEngineBase {
         }
         ToDigits<L, kDigits>(limbs, in + l, kLanes);
       }
-      limb_kernel::PowBatchIfma<kDigits>(in, ifma_n_, ifma_k0_, ifma_rr_,
-                                         digits.data(), num_digits, w, res);
+      const limb_kernel::IfmaWalk walk{in, ifma_n_, ifma_k0_, ifma_rr_,
+                                       digits.data(), res};
+      limb_kernel::PowBatchIfma<kDigits, 1>(&walk, num_digits, w);
       for (size_t l = 0; l < lanes; ++l) {
         uint64_t limbs[L];
-        FromDigits<L, kDigits>(res + l, limbs);
-        // The kernel may leave n itself for a result that is 0 mod n.
-        if (limb_kernel::CompareFixed<L>(limbs, n_) >= 0) {
-          limb_kernel::SubFixed<L>(limbs, n_, limbs);
-        }
+        LaneResult(res + l, limbs);
         out.push_back(BigUInt::FromLimbs(limbs, L));
       }
       next += lanes;
@@ -255,6 +267,16 @@ class FixedMontEngine final : public FixedMontEngineBase {
     for (; next < bases.size(); ++next) out.push_back(Pow(bases[next], exp));
     return out;
   }
+
+  // Lane `res` of a kernel result as canonical limbs: the kernel may leave
+  // n itself for a result that is 0 mod n.
+  void LaneResult(const uint64_t* res, uint64_t* limbs) const {
+    FromDigits<L, kDigits>(res, limbs);
+    SubIfAtLeast<L>(0, limbs, n_);
+  }
+
+  template <size_t>
+  friend class FixedCrtPowImpl;
 
   bool ifma_ = false;               // Batch kernel usable for this engine.
   uint64_t ifma_n_[kDigits] = {};   // n in 52-bit digits.
@@ -270,7 +292,167 @@ class FixedMontEngine final : public FixedMontEngineBase {
   uint64_t n0_;             // -n^-1 mod 2^64.
 };
 
+#if PSI_LIMB_KERNEL_X86
+// The fixed-limb CRT path for two L-limb primes p, q, each with its top bit
+// set (docs/PERF.md "Batched exponentiation").
+template <size_t L>
+class FixedCrtPowImpl final : public FixedCrtPow {
+  static constexpr size_t kDigits = limb_kernel::IfmaDigits(L);
+  static constexpr size_t kLanes = limb_kernel::kIfmaLanes;
+  // Both halves share one kernel walk only at D = 5: at D = 10 the
+  // interleaved multiply spills registers and measured slower than two
+  // separate walks.
+  static constexpr size_t kWalks =
+      kDigits == limb_kernel::IfmaDigits(4) ? 2 : 1;
+
+ public:
+  FixedCrtPowImpl(std::shared_ptr<const MontgomeryContext> p_ctx,
+                  std::shared_ptr<const MontgomeryContext> q_ctx,
+                  const FixedMontEngine<L>& p, const FixedMontEngine<L>& q,
+                  PSI_SECRET const BigUInt& dp, PSI_SECRET const BigUInt& dq,
+                  PSI_SECRET const BigUInt& q_inv_p)
+      : p_ctx_(std::move(p_ctx)), q_ctx_(std::move(q_ctx)), p_(p), q_(q) {
+    // One window width and digit count for both exponents, from the longer
+    // one; ExpDigit reads zeros past the shorter one's top bit, which pads
+    // it with leading zero digits. A zero exponent walks one zero digit.
+    const size_t bits = std::max(dp.BitLength(), dq.BitLength());
+    w_ = internal::WindowBitsFor(bits);
+    // psi-lint: allow(secret-flow) digit count depends on the public key size, not the exponent value
+    num_digits_ = std::max<size_t>(1, (bits + w_ - 1) / w_);
+    dp_digits_.resize(num_digits_);
+    dq_digits_.resize(num_digits_);
+    for (size_t t = 0; t < num_digits_; ++t) {
+      const size_t pos = (num_digits_ - 1 - t) * w_;
+      dp_digits_[t] = static_cast<uint8_t>(internal::ExpDigit(dp, pos, w_));
+      dq_digits_[t] = static_cast<uint8_t>(internal::ExpDigit(dq, pos, w_));
+    }
+    // q^-1 * R mod p: one Montgomery multiply by it is Garner's q^-1 factor.
+    uint64_t q_inv[L];
+    // psi-lint: allow(secret-flow) once per batch call at the key owner; DESIGN.md's simulated network carries no timing channel
+    FixedMontEngine<L>::Load(q_inv_p % p_.n_big_, q_inv);
+    p_.ToMontRaw(q_inv, q_inv_r_);
+  }
+
+  // The path for L-limb contexts p and q, or nullptr (MakeFixedCrtPow).
+  static std::unique_ptr<const FixedCrtPow> Create(
+      std::shared_ptr<const MontgomeryContext> p,
+      std::shared_ptr<const MontgomeryContext> q, PSI_SECRET const BigUInt& dp,
+      PSI_SECRET const BigUInt& dq, PSI_SECRET const BigUInt& q_inv_p) {
+    const auto* pe = dynamic_cast<const FixedMontEngine<L>*>(p->fixed_engine());
+    const auto* qe = dynamic_cast<const FixedMontEngine<L>*>(q->fixed_engine());
+    if (pe == nullptr || qe == nullptr || !pe->ifma_ || !qe->ifma_ ||
+        p->modulus().BitLength() != 64 * L ||
+        q->modulus().BitLength() != 64 * L) {
+      return nullptr;
+    }
+    return std::make_unique<FixedCrtPowImpl>(std::move(p), std::move(q), *pe,
+                                             *qe, dp, dq, q_inv_p);
+  }
+
+  void PowBatch(std::span<const BigUInt> xs, BigUInt* out) const override {
+    for (size_t next = 0; next < xs.size(); next += kLanes) {
+      const size_t lanes = std::min(kLanes, xs.size() - next);
+      // Idle lanes carry base 0; their results are dropped.
+      uint64_t in_p[kDigits * kLanes] = {}, in_q[kDigits * kLanes] = {};
+      uint64_t res_p[kDigits * kLanes], res_q[kDigits * kLanes];
+      for (size_t l = 0; l < lanes; ++l) {
+        uint64_t x[2 * L], r[L];
+        for (size_t i = 0; i < 2 * L; ++i) x[i] = xs[next + l].limb(i);
+        Split(p_, x, r);
+        ToDigits<L, kDigits>(r, in_p + l, kLanes);
+        Split(q_, x, r);
+        ToDigits<L, kDigits>(r, in_q + l, kLanes);
+      }
+      const limb_kernel::IfmaWalk walks[2] = {
+          {in_p, p_.ifma_n_, p_.ifma_k0_, p_.ifma_rr_, dp_digits_.data(),
+           res_p},
+          {in_q, q_.ifma_n_, q_.ifma_k0_, q_.ifma_rr_, dq_digits_.data(),
+           res_q}};
+      if constexpr (kWalks == 2) {
+        limb_kernel::PowBatchIfma<kDigits, 2>(walks, num_digits_, w_);
+      } else {
+        limb_kernel::PowBatchIfma<kDigits, 1>(&walks[0], num_digits_, w_);
+        limb_kernel::PowBatchIfma<kDigits, 1>(&walks[1], num_digits_, w_);
+      }
+      for (size_t l = 0; l < lanes; ++l) {
+        uint64_t m_p[L], m_q[L];
+        p_.LaneResult(res_p + l, m_p);
+        q_.LaneResult(res_q + l, m_q);
+        out[next + l] = Garner(m_p, m_q);
+      }
+    }
+  }
+
+ private:
+  // out = x mod n for a 2L-limb x = hi*2^(64L) + lo. With R = 2^(64L),
+  // MontMul(hi, R^2 mod n) = hi*2^(64L) mod n, canonical because hi*R^2
+  // mod n < R*n; lo < R <= 2n because n has its top bit set. The sum is
+  // below 3n, so two subtractions of n finish.
+  static void Split(const FixedMontEngine<L>& e, const uint64_t* x,
+                    uint64_t* out) {
+    uint64_t fold[L];
+    e.MontMulRaw(x + L, e.r2_, fold);
+    uint64_t carry = limb_kernel::AddFixed<L>(x, fold, out);
+    carry = SubIfAtLeast<L>(carry, out, e.n_);
+    SubIfAtLeast<L>(carry, out, e.n_);
+  }
+
+  // Garner: m = m_q + q*h with h = q^-1 * (m_p - m_q) mod p, for canonical
+  // m_p < p and m_q < q. m_q < 2^(64L) <= 2p, so one subtraction brings it
+  // below p; m < p*q fits 2L limbs.
+  BigUInt Garner(const uint64_t* m_p, const uint64_t* m_q) const {
+    uint64_t diff[L], h[L], wrap[L];
+    for (size_t i = 0; i < L; ++i) h[i] = m_q[i];
+    SubIfAtLeast<L>(0, h, p_.n_);
+    const uint64_t borrow = limb_kernel::SubFixed<L>(m_p, h, diff);
+    for (size_t i = 0; i < L; ++i) wrap[i] = p_.n_[i] & (0 - borrow);
+    limb_kernel::AddFixed<L>(diff, wrap, diff);
+    p_.MontMulRaw(q_inv_r_, diff, h);
+    uint64_t m[2 * L], m_q_wide[2 * L] = {};
+    limb_kernel::MulFixed<L>(h, q_.n_, m);
+    for (size_t i = 0; i < L; ++i) m_q_wide[i] = m_q[i];
+    limb_kernel::AddFixed<2 * L>(m, m_q_wide, m);
+    return BigUInt::FromLimbs(m, 2 * L);
+  }
+
+  std::shared_ptr<const MontgomeryContext> p_ctx_, q_ctx_;  // Own p_, q_.
+  const FixedMontEngine<L>& p_;
+  const FixedMontEngine<L>& q_;
+  size_t w_ = 1;
+  size_t num_digits_ = 1;
+  PSI_SECRET std::vector<uint8_t> dp_digits_;
+  PSI_SECRET std::vector<uint8_t> dq_digits_;
+  uint64_t q_inv_r_[L];  // q^-1 * R mod p.
+};
+
+#endif  // PSI_LIMB_KERNEL_X86
+
 }  // namespace
+
+std::unique_ptr<const FixedCrtPow> MakeFixedCrtPow(
+    [[maybe_unused]] std::shared_ptr<const MontgomeryContext> p,
+    [[maybe_unused]] std::shared_ptr<const MontgomeryContext> q,
+    [[maybe_unused]] const BigUInt& n,
+    [[maybe_unused]] PSI_SECRET const BigUInt& dp,
+    [[maybe_unused]] PSI_SECRET const BigUInt& dq,
+    [[maybe_unused]] PSI_SECRET const BigUInt& q_inv_p) {
+#if PSI_LIMB_KERNEL_X86
+  if (p != nullptr && q != nullptr && p->fixed_engine() != nullptr &&
+      n == p->modulus() * q->modulus()) {
+    switch (p->fixed_engine()->limbs()) {
+      case 4:
+        return FixedCrtPowImpl<4>::Create(std::move(p), std::move(q), dp, dq,
+                                           q_inv_p);
+      case 8:
+        return FixedCrtPowImpl<8>::Create(std::move(p), std::move(q), dp, dq,
+                                           q_inv_p);
+      default:
+        break;
+    }
+  }
+#endif
+  return nullptr;
+}
 
 std::shared_ptr<const FixedMontEngineBase> MakeFixedMontEngine(
     const BigUInt& modulus, uint64_t n_prime, const BigUInt& r_mod_n,

@@ -92,6 +92,41 @@ class FixedMontEngineBase {
                                         PSI_SECRET const BigUInt& exp) const;
 };
 
+class MontgomeryContext;
+
+/// \brief x^d mod p*q for batches of x by the Chinese remainder theorem:
+/// RSA-CRT decryption's arithmetic on the fixed-limb engines of p and q.
+///
+/// Each group of limb_kernel::kIfmaLanes values takes one IFMA walk per
+/// half, x^dP mod p and x^dQ mod q; at 256-bit primes both halves run as
+/// two interleaved walks of one kernel call. The split x mod p, x mod q and
+/// the Garner recombination run on fixed limbs, so no division and no
+/// BigUInt sits between the input's limbs and the result. The object holds
+/// both contexts, so its engines stay valid however the context cache
+/// moves. Read-only after construction: safe to share across ParallelFor
+/// workers.
+class FixedCrtPow {
+ public:
+  virtual ~FixedCrtPow() = default;
+
+  /// out[i] = xs[i]^d mod p*q for every i, each xs[i] < p*q: bit for bit
+  /// m_q + q * (q_inv_p * (m_p - m_q) mod p) with m_p = xs[i]^dP mod p and
+  /// m_q = xs[i]^dQ mod q, the heap path's Garner formula.
+  virtual void PowBatch(std::span<const BigUInt> xs, BigUInt* out) const = 0;
+};
+
+/// \brief Builds the per-key constants of the fixed-limb CRT path, or
+/// returns nullptr where it cannot serve (callers keep one ModPowBatch per
+/// half): a context without a fixed engine (heap-only, or a width with no
+/// engine), p and q of different limb widths or of a width the IFMA kernel
+/// does not cover, a CPU without IFMA, a prime without its top bit set, or
+/// n != p*q.
+std::unique_ptr<const FixedCrtPow> MakeFixedCrtPow(
+    std::shared_ptr<const MontgomeryContext> p,
+    std::shared_ptr<const MontgomeryContext> q, const BigUInt& n,
+    PSI_SECRET const BigUInt& dp, PSI_SECRET const BigUInt& dq,
+    PSI_SECRET const BigUInt& q_inv_p);
+
 /// \brief Builds the engine for `modulus` when its exact limb width is one
 /// of kFixedMontWidths; returns nullptr otherwise (callers keep the heap
 /// path). Preconditions match MontgomeryContext: odd modulus >= 3;

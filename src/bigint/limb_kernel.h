@@ -12,7 +12,9 @@
 // On CPUs that also have AVX-512 IFMA the same check enables one more
 // kernel, PowBatchIfma (limb_kernel_ifma.cc): eight exponentiations that
 // share a modulus and an exponent, walked together in the eight 64-bit
-// lanes of a zmm register (docs/PERF.md "Batched exponentiation").
+// lanes of a zmm register, and optionally a second such walk under another
+// modulus interleaved with the first (docs/PERF.md "Batched
+// exponentiation").
 //
 // Both variants compute the same exact integers, so kernel selection can
 // never change a protocol transcript — only wall-clock. The CMake option
@@ -28,6 +30,8 @@
 
 #include <cstddef>
 #include <cstdint>
+
+#include "common/annotations.h"
 
 #if defined(__x86_64__) && defined(__GNUC__) && \
     !defined(PSI_FORCE_PORTABLE_KERNELS)
@@ -104,18 +108,33 @@ inline constexpr size_t kIfmaLanes = 8;
 /// skip its final subtraction.
 constexpr size_t IfmaDigits(size_t limbs) { return (64 * limbs + 2 + 51) / 52; }
 
-/// out[lane] = base[lane]^exp mod n for the kIfmaLanes lanes, with every
-/// D-digit operand stored digit-major: digit j of lane l at [j * 8 + l],
-/// each digit < 2^52. `n` is the odd modulus with 4n < 2^(52*D), `k0` =
-/// -n^-1 mod 2^52, `rr` = 2^(104*D) mod n, and each base < n. The shared
-/// exponent arrives as its fixed-window digits, most significant first:
-/// `num_digits` >= 1 digits of `w` bits (1 <= w <= 5), the first nonzero.
-/// Each out lane is <= n, equal to n only when the result is 0 mod n.
-/// Instantiated for D = IfmaDigits(4) and IfmaDigits(8).
-template <size_t D>
-void PowBatchIfma(const uint64_t* base, const uint64_t* n, uint64_t k0,
-                  const uint64_t* rr, const uint8_t* digits, size_t num_digits,
-                  size_t w, uint64_t* out);
+/// One exponentiation walk of a PowBatchIfma call: kIfmaLanes bases raised
+/// to one exponent modulo one modulus, one base per lane. Every D-digit
+/// operand is stored digit-major: digit j of lane l at [j * 8 + l], each
+/// digit < 2^52. `n` is the odd modulus with 4n < 2^(52*D), `k0` =
+/// -n^-1 mod 2^52, `rr` = 2^(104*D) mod n, and each base < 2n. `digits`
+/// holds the exponent's fixed-window digits, most significant first. Each
+/// out lane is <= n, equal to n only when the result is 0 mod n.
+struct IfmaWalk {
+  const uint64_t* base;
+  const uint64_t* n;
+  uint64_t k0;
+  const uint64_t* rr;
+  PSI_SECRET const uint8_t* digits;
+  uint64_t* out;
+};
+
+/// Runs K independent walks in one instruction stream: every Montgomery
+/// multiply issues the multiply-adds of all K walks interleaved, so one
+/// walk's latency hides behind the other's work. The walks share the window
+/// width `w` (1 <= w <= 5) and `num_digits` >= 1; a shorter exponent is
+/// padded with leading zero digits. A walk's zero digit multiplies by R
+/// mod n (table row 0), and the multiply step is skipped only when every
+/// walk's digit is zero. Instantiated for K = 1 at D = IfmaDigits(4) and
+/// IfmaDigits(8), and for K = 2 at D = IfmaDigits(4) only (docs/PERF.md
+/// "Batched exponentiation").
+template <size_t D, size_t K>
+void PowBatchIfma(const IfmaWalk* walks, size_t num_digits, size_t w);
 #endif  // PSI_LIMB_KERNEL_X86
 
 /// Schoolbook multiply through the active variant (BigUInt's base case).

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -11,24 +12,25 @@
 
 namespace psi {
 
-namespace {
-
 // Thread-local MRU cache of Montgomery contexts. Repeated ModPow calls with
 // the same modulus (Miller-Rabin rounds, every Paillier/RSA operation of a
 // protocol run) would otherwise rebuild R^2 mod n — two Knuth divisions —
 // per exponentiation. Four entries cover the working set of the widest
-// caller (RSA-CRT decryption alternates p and q while the peer's n and n^2
-// stay warm). Thread-local storage keeps the cache lock-free under
-// ParallelFor workers. The returned pointer is invalidated by the next
-// lookup on the same thread.
-const MontgomeryContext* CachedMontgomeryContext(const BigUInt& m) {
+// caller: an RSA key's p and q while the peer's n and n^2 stay warm.
+// Thread-local storage keeps the cache lock-free under ParallelFor workers.
+// Contexts are shared, so one a caller holds stays valid after any number
+// of later lookups evict it (RsaDecryptBatch holds p's and q's for a whole
+// batch).
+std::shared_ptr<const MontgomeryContext> CachedMontgomeryContext(
+    const BigUInt& m) {
   constexpr size_t kCacheCap = 4;
+  using Entry = std::pair<BigUInt, std::shared_ptr<const MontgomeryContext>>;
   // Engine-backed and heap-only contexts cache separately: a live
   // ScopedHeapOnlyModPow guard must never be served (or evict) the other
   // flavor.
   const bool heap_only = internal::HeapOnlyEngineForced();
-  thread_local std::vector<std::pair<BigUInt, MontgomeryContext>> cache_auto;
-  thread_local std::vector<std::pair<BigUInt, MontgomeryContext>> cache_heap;
+  thread_local std::vector<Entry> cache_auto;
+  thread_local std::vector<Entry> cache_heap;
   auto& cache = heap_only ? cache_heap : cache_auto;
   for (size_t i = 0; i < cache.size(); ++i) {
     if (cache[i].first == m) {
@@ -36,21 +38,25 @@ const MontgomeryContext* CachedMontgomeryContext(const BigUInt& m) {
         auto mid = cache.begin() + static_cast<ptrdiff_t>(i);
         std::rotate(cache.begin(), mid, mid + 1);
       }
-      return &cache.front().second;
+      return cache.front().second;
     }
   }
   auto ctx = MontgomeryContext::Create(
       m, heap_only ? EngineMode::kHeapOnly : EngineMode::kAuto);
   if (!ctx.ok()) return nullptr;
   if (cache.size() >= kCacheCap) cache.pop_back();
-  cache.emplace(cache.begin(), m, std::move(ctx).MoveValue());
-  return &cache.front().second;
+  cache.emplace(cache.begin(), m, std::make_shared<const MontgomeryContext>(
+                                      std::move(ctx).MoveValue()));
+  return cache.front().second;
 }
+
+namespace {
 
 // Odd multi-limb moduli (the RSA/Paillier case) route through Montgomery
 // arithmetic: REDC replaces every Knuth-division reduction, and the
 // thread-local context cache amortizes the R^2 mod n setup across calls.
-const MontgomeryContext* ModPowContext(const BigUInt& exp, const BigUInt& m) {
+std::shared_ptr<const MontgomeryContext> ModPowContext(const BigUInt& exp,
+                                                       const BigUInt& m) {
   if (m.IsOdd() && m.BitLength() >= 128 && exp.BitLength() >= 8) {
     return CachedMontgomeryContext(m);
   }
@@ -95,7 +101,7 @@ BigUInt ModMul(const BigUInt& a, const BigUInt& b, const BigUInt& m) {
 BigUInt ModPow(const BigUInt& base, const BigUInt& exp, const BigUInt& m) {
   PSI_CHECK(!m.IsZero()) << "ModPow modulus must be positive";
   if (m.IsOne()) return BigUInt();
-  if (const MontgomeryContext* ctx = ModPowContext(exp, m)) {
+  if (const auto ctx = ModPowContext(exp, m)) {
     return ctx->Pow(base, exp);
   }
   BigUInt result(1);
@@ -112,7 +118,7 @@ std::vector<BigUInt> ModPowBatch(std::span<const BigUInt> bases,
                                  const BigUInt& exp, const BigUInt& m) {
   PSI_CHECK(!m.IsZero()) << "ModPow modulus must be positive";
   if (!m.IsOne()) {
-    if (const MontgomeryContext* ctx = ModPowContext(exp, m)) {
+    if (const auto ctx = ModPowContext(exp, m)) {
       return ctx->PowBatch(bases, exp);
     }
   }

@@ -4,6 +4,7 @@
 #ifndef PSI_BIGINT_MODULAR_H_
 #define PSI_BIGINT_MODULAR_H_
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -11,6 +12,8 @@
 #include "common/status.h"
 
 namespace psi {
+
+class MontgomeryContext;
 
 /// \brief (a + b) mod m. Preconditions: a, b < m.
 BigUInt ModAdd(const BigUInt& a, const BigUInt& b, const BigUInt& m);
@@ -29,6 +32,13 @@ BigUInt ModPow(const BigUInt& base, const BigUInt& exp, const BigUInt& m);
 /// the whole batch goes through MontgomeryContext::PowBatch.
 std::vector<BigUInt> ModPowBatch(std::span<const BigUInt> bases,
                                  const BigUInt& exp, const BigUInt& m);
+
+/// \brief The Montgomery context ModPow uses for the odd modulus m >= 3,
+/// from a small per-thread cache (heap-only while a ScopedHeapOnlyModPow
+/// lives); nullptr for an even or smaller modulus. Ownership is shared, so
+/// the context outlives any later lookup that evicts it.
+std::shared_ptr<const MontgomeryContext> CachedMontgomeryContext(
+    const BigUInt& m);
 
 /// \brief RAII guard: while an instance lives, Montgomery contexts built
 /// anywhere in the process with EngineMode::kAuto (ModPow's cache, Paillier

@@ -74,10 +74,13 @@ struct RsaKeyPair {
 [[nodiscard]] Result<std::vector<BigUInt>> RsaEncryptBatch(
     const RsaPublicKey& key, std::span<const BigUInt> plaintexts);
 
-/// \brief RsaDecrypt of every ciphertext, batched like RsaEncryptBatch: two
-/// shared-exponent walks per group of eight (dP mod p, dQ mod q), then
-/// Garner per element. A ciphertext >= n fails the call with RsaDecrypt's
-/// error; the lowest such index is the one reported.
+/// \brief RsaDecrypt of every ciphertext, batched like RsaEncryptBatch. With
+/// the IFMA kernel and 256- or 512-bit primes (FixedCrtPow), each group of
+/// eight walks dP mod p and dQ mod q in one kernel pass and splits and
+/// recombines on fixed limbs; otherwise it makes one shared-exponent
+/// ModPowBatch per half, then Garner per element. A ciphertext >= n fails
+/// the call with RsaDecrypt's error; the lowest such index is the one
+/// reported.
 [[nodiscard]] Result<std::vector<BigUInt>> RsaDecryptBatch(
     const RsaPrivateKey& key, std::span<const BigUInt> ciphertexts);
 

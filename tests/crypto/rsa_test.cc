@@ -2,7 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <utility>
+
+#include "bigint/fixed_mont.h"
+#include "bigint/limb_kernel.h"
 #include "bigint/modular.h"
+#include "bigint/primes.h"
 #include "common/thread_pool.h"
 
 namespace psi {
@@ -211,6 +217,133 @@ TEST_P(RsaBatchTest, OutOfRangeMidBatchFailsLikePerElement) {
 
 INSTANTIATE_TEST_SUITE_P(ModulusBits, RsaBatchTest,
                          ::testing::Values(size_t{512}, size_t{1024}));
+
+// RsaDecryptBatch against non-CRT ModPow(c, d, n) computed on the heap path
+// (ScopedHeapOnlyModPow), so the oracle shares no code with the fixed-limb
+// CRT split, kernel walk or Garner step.
+class RsaCrtEdgeTest : public ::testing::Test {
+ protected:
+  // A private key over the given primes with e = 65537, its fields set one
+  // by one the way a checkpoint codec loads them.
+  static std::optional<RsaPrivateKey> KeyFromPrimes(const BigUInt& p,
+                                                    const BigUInt& q) {
+    const BigUInt phi = (p - BigUInt(1)) * (q - BigUInt(1));
+    auto d = ModInverse(BigUInt(65537), phi);
+    if (!d.ok()) return std::nullopt;
+    RsaPrivateKey key;
+    key.n = p * q;
+    key.d = *d;
+    key.p = p;
+    key.q = q;
+    key.d_mod_p1 = key.d % (p - BigUInt(1));
+    key.d_mod_q1 = key.d % (q - BigUInt(1));
+    key.q_inv_p = ModInverse(q, p).ValueOrDie();
+    return key;
+  }
+
+  // Primes of the given sizes whose key exists (gcd(e, phi) = 1).
+  static RsaPrivateKey Key(Rng* rng, size_t p_bits, size_t q_bits) {
+    for (;;) {
+      const BigUInt p = RandomPrime(rng, p_bits);
+      const BigUInt q = RandomPrime(rng, q_bits);
+      if (p == q) continue;
+      if (auto key = KeyFromPrimes(p, q)) return *key;
+    }
+  }
+
+  // Ciphertexts at the CRT path's edges: below p, multiples of p and of q,
+  // a low half at or above both primes, values just below n, and random
+  // values. (c < n = p*q keeps the high half below both primes.)
+  static std::vector<BigUInt> EdgeCiphertexts(Rng* rng,
+                                              const RsaPrivateKey& key) {
+    const BigUInt& p = key.p;
+    const BigUInt& q = key.q;
+    const BigUInt low_ones = BigUInt::PowerOfTwo(64 * p.num_limbs()) -
+                             BigUInt(1);
+    std::vector<BigUInt> cts = {BigUInt(0),
+                                BigUInt(1),
+                                BigUInt(2),
+                                p - BigUInt(1),
+                                p,
+                                p + BigUInt(1),
+                                q,
+                                p * BigUInt(3),
+                                q * BigUInt(5),
+                                p * (q - BigUInt(1)),
+                                low_ones,
+                                key.n - low_ones - BigUInt(1),
+                                key.n - BigUInt(2),
+                                key.n - BigUInt(1)};
+    while (cts.size() < 29) cts.push_back(BigUInt::RandomBelow(rng, key.n));
+    return cts;
+  }
+
+  static void ExpectDecryptsLikeModPow(Rng* rng, const RsaPrivateKey& key) {
+    const std::vector<BigUInt> cts = EdgeCiphertexts(rng, key);
+    std::vector<BigUInt> want;
+    {
+      ScopedHeapOnlyModPow heap_only;
+      for (const BigUInt& c : cts) want.push_back(ModPow(c, key.d, key.n));
+    }
+    for (size_t threads : {1u, 3u}) {
+      ThreadPool::Global().SetNumThreads(threads);
+      auto got = RsaDecryptBatch(key, cts);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      for (size_t i = 0; i < cts.size(); ++i) {
+        EXPECT_EQ((*got)[i], want[i])
+            << "ciphertext " << i << " (" << cts[i].ToHexString() << "), "
+            << key.p.BitLength() << "/" << key.q.BitLength()
+            << "-bit primes, threads " << threads;
+      }
+    }
+    ThreadPool::Global().SetNumThreads(1);
+  }
+
+  // Whether RsaDecryptBatch takes the fixed-limb path for this key.
+  static bool FixedPath(const RsaPrivateKey& key) {
+    return MakeFixedCrtPow(CachedMontgomeryContext(key.p),
+                           CachedMontgomeryContext(key.q), key.n,
+                           key.d_mod_p1, key.d_mod_q1,
+                           key.q_inv_p) != nullptr;
+  }
+};
+
+TEST_F(RsaCrtEdgeTest, BatchMatchesNonCrtModPowWithPrimesEitherWayRound) {
+  Rng rng(404);
+  for (size_t bits : {512u, 1024u}) {
+    RsaPrivateKey key = Key(&rng, bits / 2, bits / 2);
+    EXPECT_EQ(FixedPath(key), limb_kernel::IfmaKernelsAvailable());
+    // The same key with p and q exchanged: one of the two has p > q.
+    RsaPrivateKey swapped = key;
+    std::swap(swapped.p, swapped.q);
+    std::swap(swapped.d_mod_p1, swapped.d_mod_q1);
+    swapped.q_inv_p = ModInverse(swapped.q, swapped.p).ValueOrDie();
+    ASSERT_NE(key.p < key.q, swapped.p < swapped.q);
+    for (const RsaPrivateKey* k : {&key, &swapped}) {
+      ExpectDecryptsLikeModPow(&rng, *k);
+    }
+  }
+}
+
+TEST_F(RsaCrtEdgeTest, KeysTheFixedPathCannotServeFallBack) {
+  Rng rng(405);
+  // p and q of different limb widths (3 and 5 limbs), and two 4-limb primes
+  // one of which lacks its top bit: both keep the per-half path.
+  for (const auto& [p_bits, q_bits] :
+       {std::pair<size_t, size_t>{192, 320}, {250, 256}}) {
+    const RsaPrivateKey key = Key(&rng, p_bits, q_bits);
+    EXPECT_FALSE(FixedPath(key)) << p_bits << "/" << q_bits;
+    ExpectDecryptsLikeModPow(&rng, key);
+  }
+  // A modulus that is not p*q.
+  RsaPrivateKey wrong_n = Key(&rng, 256, 256);
+  wrong_n.n = wrong_n.n + BigUInt(2);
+  EXPECT_FALSE(FixedPath(wrong_n));
+  // The heap-only guard keeps contexts engine-free.
+  const RsaPrivateKey key = Key(&rng, 256, 256);
+  ScopedHeapOnlyModPow heap_only;
+  EXPECT_FALSE(FixedPath(key));
+}
 
 }  // namespace
 }  // namespace psi

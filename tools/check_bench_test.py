@@ -72,9 +72,11 @@ MUTATIONS = [
      times(0.5), f"{POW} speedup >= 2.0"),
     ("bigint", R, "BM_PaillierDecryptCrtHeap/1024_median", "cpu_time",
      times(0.5), f"{CRT} speedup >= 2.0"),
-    ("bigint", R, "BM_RsaDecryptLoop/512_median", "cpu_time", times(0.2),
+    # The batch runs 9-16x the loop, so the cut must be deep enough to
+    # take the ratio under the 2x floor.
+    ("bigint", R, "BM_RsaDecryptLoop/512_median", "cpu_time", times(0.1),
      f"{RSA512} speedup >= 2.0"),
-    ("bigint", R, "BM_RsaDecryptLoop/1024_median", "cpu_time", times(0.2),
+    ("bigint", R, "BM_RsaDecryptLoop/1024_median", "cpu_time", times(0.1),
      f"{RSA1024} speedup >= 2.0"),
     ("bigint", B, "BM_MontgomeryPowHeap/1024_median", "cpu_time", times(2),
      f"{POW} speedup >= baseline x 0.75"),
