@@ -172,10 +172,11 @@ Result<std::vector<uint64_t>> ComputeProviderCounterVector(
 }
 
 Result<std::vector<ReceivedOmega>> PublishOmega(
-    Network* network, PartyId host, const std::vector<PartyId>& providers,
+    Network* network, ProtocolId protocol_id, PartyId host,
+    const std::vector<PartyId>& providers,
     const std::vector<uint8_t>& packed_omega, size_t n) {
   for (PartyId provider : providers) {
-    PSI_RETURN_NOT_OK(network->SendFramed(host, provider, ProtocolId::kLinkInfluence,
+    PSI_RETURN_NOT_OK(network->SendFramed(host, provider, protocol_id,
                                           kStepOmega, packed_omega));
   }
   // Every provider decodes and validates the arc set it received.
@@ -183,7 +184,7 @@ Result<std::vector<ReceivedOmega>> PublishOmega(
   for (size_t k = 0; k < providers.size(); ++k) {
     PSI_ASSIGN_OR_RETURN(received[k].payload,
                          network->RecvValidated(providers[k], host,
-                                                ProtocolId::kLinkInfluence, kStepOmega));
+                                                protocol_id, kStepOmega));
     PSI_RETURN_NOT_OK(wire::UnpackArcs(received[k].payload, &received[k].arcs));
     for (const Arc& a : received[k].arcs) {
       if (a.from >= n || a.to >= n) {
@@ -403,7 +404,8 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
     auto packed_omega = wire::PackArcs(omega);
     PSI_ASSIGN_OR_RETURN(
         std::vector<ReceivedOmega> received,
-        PublishOmega(network_, host_, providers_, packed_omega, n));
+        PublishOmega(network_, ProtocolId::kLinkInfluence, host_, providers_,
+                     packed_omega, n));
     session.PartyState(host_).Put(kKeyOmega, std::move(packed_omega));
     for (size_t k = 0; k < m; ++k) {
       session.PartyState(providers_[k])

@@ -127,9 +127,12 @@ struct ReceivedOmega {
 
 /// \brief Steps 1-2: `host` sends `packed_omega` to every provider, and
 /// each provider decodes its own copy. An arc endpoint >= n is a
-/// ProtocolError. Returns the copies in provider order.
+/// ProtocolError. Returns the copies in provider order. The frames ride
+/// `protocol_id` under Protocol 4's Omega step tag; Protocol 6 publishes
+/// its Omega_E' the same way under its own id.
 [[nodiscard]] Result<std::vector<ReceivedOmega>> PublishOmega(
-    Network* network, PartyId host, const std::vector<PartyId>& providers,
+    Network* network, ProtocolId protocol_id, PartyId host,
+    const std::vector<PartyId>& providers,
     const std::vector<uint8_t>& packed_omega, size_t n);
 
 /// \brief The public counter bound A of Protocol 2: |A| actions, times the

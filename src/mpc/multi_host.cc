@@ -58,7 +58,8 @@ Result<std::vector<LinkInfluence>> MultiHostLinkInfluenceProtocol::RunImpl(
                          ObfuscateArcSet(host_rngs[h], *host_graphs[h],
                                          config_.obfuscation_factor));
     PSI_ASSIGN_OR_RETURN(std::vector<ReceivedOmega> received,
-                         PublishOmega(network_, hosts_[h], providers_,
+                         PublishOmega(network_, ProtocolId::kLinkInfluence,
+                                      hosts_[h], providers_,
                                       wire::PackArcs(omegas[h]), n));
     for (size_t k = 0; k < m; ++k) {
       provider_pairs[k].insert(provider_pairs[k].end(), received[k].arcs.begin(),

@@ -10,14 +10,15 @@
 #include "common/serialize.h"
 #include "crypto/packing.h"
 #include "graph/generators.h"
+#include "mpc/link_influence_protocol.h"
 #include "mpc/wire.h"
 
 namespace psi {
 
 namespace {
 
-// Step tags for ProtocolId::kPropagationGraph frames.
-constexpr uint16_t kStepOmega = 2;       // H -> P_k: Omega_E'.
+// Step tags for ProtocolId::kPropagationGraph frames. Step 2, H -> P_k:
+// Omega_E', is PublishOmega's (mpc/link_influence_protocol.h).
 constexpr uint16_t kStepPublicKey = 3;   // H -> P_k: RSA public key.
 constexpr uint16_t kStepDeltas = 4;      // P_k -> P1: E(Delta) bundles.
 constexpr uint16_t kStepAggregate = 10;  // P1 -> H: concatenated bundles.
@@ -387,25 +388,14 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
 
     network_->BeginRound("P6.Step2 (H -> P_k: Omega_E')");
     auto packed_omega = wire::PackArcs(omega);
+    PSI_ASSIGN_OR_RETURN(
+        std::vector<ReceivedOmega> received,
+        PublishOmega(network_, ProtocolId::kPropagationGraph, host_,
+                     providers_, packed_omega, n));
+    session.PartyState(host_).Put(kKeyOmega, std::move(packed_omega));
     for (size_t k = 0; k < m; ++k) {
-      PSI_RETURN_NOT_OK(network_->SendFramed(host_, providers_[k],
-                                             ProtocolId::kPropagationGraph,
-                                             kStepOmega, packed_omega));
-    }
-    session.PartyState(host_).Put(kKeyOmega, packed_omega);
-    for (size_t k = 0; k < m; ++k) {
-      PSI_ASSIGN_OR_RETURN(
-          auto buf, network_->RecvValidated(providers_[k], host_,
-                                            ProtocolId::kPropagationGraph,
-                                            kStepOmega));
-      std::vector<Arc> provider_omega;
-      PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &provider_omega));
-      for (const Arc& a : provider_omega) {
-        if (a.from >= n || a.to >= n) {
-          return Status::ProtocolError("Omega_E' arc endpoint out of range");
-        }
-      }
-      session.PartyState(providers_[k]).Put(kKeyOmega, std::move(buf));
+      session.PartyState(providers_[k])
+          .Put(kKeyOmega, std::move(received[k].payload));
     }
     return Status::OK();
   });

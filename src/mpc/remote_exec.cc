@@ -198,9 +198,6 @@ Status RemoteSessionOrchestrator::RunStage(ProtocolSession* session,
     // run in-process, exactly as under the base orchestrator.
     return SessionOrchestrator::RunStage(session, index);
   }
-  const uint64_t deadline_ms = spec->deadline_ms != 0
-                                   ? spec->deadline_ms
-                                   : exec_policy_.stage_deadline_ms;
   Status last = Status::OK();
   bool give_up_remote = false;
   for (uint32_t attempt = 1;
@@ -231,7 +228,8 @@ Status RemoteSessionOrchestrator::RunStage(ProtocolSession* session,
     for (int ship = 0; ship < 2; ++ship) {
       bool no_engine = false;
       auto result = CallOnce(session, net, *spec, index, attempt,
-                             include_state, deadline_ms, &no_engine);
+                             include_state, exec_policy_.stage_deadline_ms,
+                             &no_engine);
       if (!result.ok()) {
         last = result.status();
         if (last.message().find("timed out") != std::string::npos) {

@@ -116,8 +116,7 @@ class StageExecutor {
 struct RemoteExecPolicy {
   /// Remote tries per stage before degrading (or failing).
   uint32_t max_attempts_per_stage = 3;
-  /// Wall-clock bound on one remote call when the stage's RemoteStageSpec
-  /// does not pin its own deadline.
+  /// Wall-clock bound on one remote call.
   uint64_t stage_deadline_ms = 2000;
   /// Backoff before remote attempt k sleeps min(base << (k-2), max) plus
   /// seeded jitter drawn uniformly from that same range.

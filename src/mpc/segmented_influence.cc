@@ -53,7 +53,8 @@ Result<SegmentedLinkInfluence> SegmentedInfluenceProtocol::RunImpl(
   network_->BeginRound("SEG.Step2 (H -> P_k: Omega_E')");
   PSI_ASSIGN_OR_RETURN(
       std::vector<ReceivedOmega> provider_omega,
-      PublishOmega(network_, host_, providers_, wire::PackArcs(omega), n));
+      PublishOmega(network_, ProtocolId::kLinkInfluence, host_, providers_,
+                   wire::PackArcs(omega), n));
 
   // ---- Local: per-segment counter blocks over each provider's own copy of
   //      Omega_E'. Layout: [a^0 .. a^{G-1} | b^0 .. b^{G-1}], each a-block

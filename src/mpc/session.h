@@ -178,9 +178,6 @@ struct RemoteStageSpec {
   PartyId party = 0;
   std::string program;
   std::vector<std::string> rng_labels;
-  /// Per-stage wall-clock deadline of one remote attempt; 0 defers to the
-  /// orchestrator's policy default.
-  uint64_t deadline_ms = 0;
 };
 
 /// \brief A protocol run decomposed into named, checkpointable stages.

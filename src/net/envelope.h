@@ -35,6 +35,10 @@
 
 namespace psi {
 
+/// \brief Dense party identifier assigned by Network::RegisterParty; the
+/// envelope's sender field carries one.
+using PartyId = uint32_t;
+
 /// \brief Identifies which protocol driver produced a framed message.
 enum class ProtocolId : uint16_t {
   kRaw = 0,                 ///< Unset: the default of an empty Envelope.

@@ -1,14 +1,14 @@
 // Deterministic fault injection over the in-process simulator.
 //
-// FaultyNetwork decorates the lossless Network simulator with the shared
-// FaultInjector pipeline (net/fault_injector.h): driven by a seeded RNG so
-// every schedule is reproducible, it drops, duplicates, reorders, corrupts
-// (single bit flip), truncates or delays frames matched by a FaultPlan,
-// and can silence a party entirely after a chosen round (crash fault). The
-// injector also keeps pristine copies of every transmitted frame, which is
-// what serves Network::RecvValidated's bounded retransmission requests.
-// The socket transport applies the *same* injector to frames crossing real
-// sockets, so one chaos plan means one fault schedule on either backend.
+// FaultyNetwork is the lossless Network simulator with a FaultInjector
+// (net/fault_injector.h) attached from construction: driven by a seeded
+// RNG so every schedule is reproducible, it drops, duplicates, reorders,
+// corrupts (single bit flip), truncates or delays frames matched by a
+// FaultPlan, and can silence a party entirely after a chosen round (crash
+// fault). Network itself applies the verdicts and keeps the pristine,
+// pruned per-channel store that serves RecvValidated's bounded
+// retransmission requests, so the socket transport with the same plan
+// attached runs the same fault path over real sockets.
 //
 // The chaos invariant the test suite enforces on top of this layer
 // (docs/FAULTS.md): a protocol driver run under ANY fault schedule either
@@ -18,9 +18,7 @@
 #ifndef PSI_NET_FAULT_H_
 #define PSI_NET_FAULT_H_
 
-#include <cstdint>
-#include <string>
-#include <vector>
+#include <utility>
 
 #include "net/fault_injector.h"
 #include "net/network.h"
@@ -30,27 +28,9 @@ namespace psi {
 /// \brief Network with deterministic, plan-driven fault injection.
 class FaultyNetwork : public Network {
  public:
-  explicit FaultyNetwork(FaultPlan plan);
-
-  /// \brief Releases delayed frames into their mailboxes, then opens the
-  /// round as usual.
-  void BeginRound(std::string label) override;
-
-  /// \brief Serves RecvValidated's retransmission requests from the pristine
-  /// frame store, re-running the fault pipeline on the retransmitted copy
-  /// (a retransmission travels the same unreliable wire). Refused when the
-  /// sender has crashed or the frame was never sent.
-  [[nodiscard]] Result<std::vector<uint8_t>> RequestRetransmit(PartyId to, PartyId from,
-                                                 uint64_t seq) override;
-
-  const FaultStats& fault_stats() const { return injector_.stats(); }
-
- protected:
-  [[nodiscard]] Status Transmit(PartyId from, PartyId to,
-                  std::vector<uint8_t> frame) override;
-
- private:
-  FaultInjector injector_;
+  explicit FaultyNetwork(FaultPlan plan) {
+    AttachFaultInjector(std::move(plan));
+  }
 };
 
 }  // namespace psi

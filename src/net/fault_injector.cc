@@ -1,9 +1,6 @@
 #include "net/fault_injector.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "net/envelope.h"
 
 namespace psi {
 
@@ -100,132 +97,65 @@ int FaultInjector::Decide(uint64_t round, PartyId from, PartyId to) {
   return -1;
 }
 
-std::vector<uint8_t> FaultInjector::Mutate(FaultKind kind,
-                                           std::vector<uint8_t> frame) {
-  switch (kind) {
-    case FaultKind::kCorrupt: {
-      if (!frame.empty()) {
-        const uint64_t bit = rng_.UniformU64(frame.size() * 8);
-        frame[bit / 8] = static_cast<uint8_t>(frame[bit / 8] ^
-                                              (1u << (bit % 8)));
-      }
-      return frame;
-    }
-    case FaultKind::kTruncate: {
-      if (!frame.empty()) {
-        frame.resize(rng_.UniformU64(frame.size()));
-      }
-      return frame;
-    }
-    default:
-      return frame;
+void FaultInjector::Mutate(FaultKind kind, std::vector<uint8_t>* frame) {
+  if (frame->empty()) return;
+  if (kind == FaultKind::kCorrupt) {
+    const uint64_t bit = rng_.UniformU64(frame->size() * 8);
+    (*frame)[bit / 8] =
+        static_cast<uint8_t>((*frame)[bit / 8] ^ (1u << (bit % 8)));
+  } else if (kind == FaultKind::kTruncate) {
+    frame->resize(rng_.UniformU64(frame->size()));
   }
 }
 
-FaultInjector::Verdict FaultInjector::OnTransmit(uint64_t round, PartyId from,
-                                                 PartyId to,
-                                                 std::vector<uint8_t> frame) {
-  Verdict verdict;
+FaultInjector::Action FaultInjector::OnTransmit(uint64_t round, PartyId from,
+                                                PartyId to,
+                                                std::vector<uint8_t>* frame) {
   if (Crashed(from, round)) {
     ++stats_.crash_dropped;
-    verdict.action = Action::kSwallow;  // The receiver sees only silence.
-    return verdict;
+    return Action::kDrop;  // The receiver sees only silence.
   }
   ++stats_.transmitted;
-  sent_log_[{from, to}].push_back(frame);  // Pristine copy, pre-fault.
   const int rule = Decide(round, from, to);
-  if (rule < 0) {
-    verdict.frame = std::move(frame);
-    return verdict;
-  }
-  switch (plan_.rules[static_cast<size_t>(rule)].kind) {
+  if (rule < 0) return Action::kDeliver;
+  const FaultKind kind = plan_.rules[static_cast<size_t>(rule)].kind;
+  switch (kind) {
     case FaultKind::kDrop:
       ++stats_.dropped;
-      verdict.action = Action::kSwallow;
-      return verdict;
+      return Action::kDrop;
     case FaultKind::kDuplicate:
       ++stats_.duplicated;
-      verdict.action = Action::kDeliverTwice;
-      verdict.frame = std::move(frame);
-      return verdict;
+      return Action::kDeliverTwice;
     case FaultKind::kReorder:
       ++stats_.reordered;
-      verdict.action = Action::kDeliverFront;
-      verdict.frame = std::move(frame);
-      return verdict;
+      return Action::kDeliverFront;
     case FaultKind::kCorrupt:
-      ++stats_.corrupted;
-      verdict.frame = Mutate(FaultKind::kCorrupt, std::move(frame));
-      return verdict;
     case FaultKind::kTruncate:
-      ++stats_.truncated;
-      verdict.frame = Mutate(FaultKind::kTruncate, std::move(frame));
-      return verdict;
+      ++(kind == FaultKind::kCorrupt ? stats_.corrupted : stats_.truncated);
+      Mutate(kind, frame);
+      return Action::kDeliver;
     case FaultKind::kDelay:
       ++stats_.delayed;
-      delayed_.emplace_back(ChannelKey{from, to}, std::move(frame));
-      verdict.action = Action::kSwallow;
-      return verdict;
+      return Action::kHold;
   }
-  return verdict;
+  return Action::kDeliver;
 }
 
-std::vector<std::pair<FaultInjector::ChannelKey, std::vector<uint8_t>>>
-FaultInjector::TakeDelayed() {
-  std::vector<std::pair<ChannelKey, std::vector<uint8_t>>> due;
-  due.swap(delayed_);
-  return due;
-}
-
-FaultInjector::Retransmission FaultInjector::OnRetransmit(
-    uint64_t round, PartyId to, PartyId from, uint64_t seq,
-    const std::string& channel, const std::string& sender) {
-  Retransmission out;
-  if (Crashed(from, round)) {
-    ++stats_.retransmits_refused;
-    out.result = Status::FailedPrecondition(
-        "retransmit refused: " + sender + " crashed after round " +
-        std::to_string(plan_.crash->after_round));
-    return out;
+FaultInjector::Action FaultInjector::OnRetransmit(
+    uint64_t round, PartyId from, PartyId to, std::vector<uint8_t>* frame) {
+  ++stats_.retransmits_served;
+  const int rule = Decide(round, from, to);
+  if (rule < 0) return Action::kDeliver;
+  const FaultKind kind = plan_.rules[static_cast<size_t>(rule)].kind;
+  if (kind == FaultKind::kDrop || kind == FaultKind::kDelay) {
+    ++(kind == FaultKind::kDrop ? stats_.dropped : stats_.delayed);
+    return Action::kDrop;
   }
-  auto it = sent_log_.find({from, to});
-  if (it != sent_log_.end()) {
-    for (const auto& frame : it->second) {
-      auto peeked = PeekEnvelopeSeq(frame);
-      if (!peeked.ok() || peeked.ValueOrDie() != seq) continue;
-      // A retransmission travels the same unreliable wire: the transport
-      // meters it like any other message and the fault pipeline gets
-      // another shot at it. Bounded attempts in RecvValidated guarantee
-      // termination.
-      ++stats_.retransmits_served;
-      out.wire_bytes = frame.size();
-      out.payload_bytes = frame.size() - kEnvelopeOverheadBytes;
-      const int rule = Decide(round, from, to);
-      if (rule >= 0) {
-        const FaultKind kind = plan_.rules[static_cast<size_t>(rule)].kind;
-        if (kind == FaultKind::kDrop || kind == FaultKind::kDelay) {
-          ++(kind == FaultKind::kDrop ? stats_.dropped : stats_.delayed);
-          out.result = Status::FailedPrecondition(
-              "retransmitted frame lost on " + channel);
-          return out;
-        }
-        if (kind == FaultKind::kCorrupt || kind == FaultKind::kTruncate) {
-          ++(kind == FaultKind::kCorrupt ? stats_.corrupted
-                                         : stats_.truncated);
-          out.result = Mutate(kind, frame);
-          return out;
-        }
-        // Duplicate / reorder have no meaning for a direct hand-back.
-      }
-      out.result = frame;
-      return out;
-    }
+  if (kind == FaultKind::kCorrupt || kind == FaultKind::kTruncate) {
+    ++(kind == FaultKind::kCorrupt ? stats_.corrupted : stats_.truncated);
+    Mutate(kind, frame);
   }
-  ++stats_.retransmits_refused;
-  out.result = Status::FailedPrecondition(
-      "retransmit refused: no frame with seq " + std::to_string(seq) +
-      " was ever sent on " + channel);
-  return out;
+  return Action::kDeliver;
 }
 
 }  // namespace psi

@@ -1,31 +1,26 @@
-// Backend-agnostic deterministic fault injection: the decision/mutation
-// engine shared by every transport decorator.
+// Backend-agnostic deterministic fault injection: the decision and
+// mutation engine behind every lossy transport.
 //
-// FaultInjector owns the seeded RNG, the fault plan, the pristine
-// retransmission store and the fault counters, but touches no mailbox and
-// no socket: each transport (the in-process simulator via FaultyNetwork in
-// net/fault.h, the loopback socket transport via SocketNetwork's chaos
-// hook) feeds outgoing frames through OnTransmit and interprets the
-// returned Verdict with its own delivery primitives. Because every RNG
-// draw happens inside this class, in the exact order the original
-// FaultyNetwork drew them, a given (plan, message sequence) produces the
-// same fault schedule on every backend — which is what lets the chaos
-// harness run one plan over both the simulator and real sockets and demand
-// identical behavior.
+// FaultInjector owns the seeded RNG, the fault plan and the fault counters,
+// and nothing else: no frames, no mailbox, no socket. Network
+// (net/network.h) owns the optional injector. It runs every outgoing frame
+// through OnTransmit, carries out the returned Action with its own delivery
+// hop, holds delayed frames until the next round, and keeps the pristine
+// store that serves retransmissions through OnRetransmit. Because every RNG
+// draw happens inside this class, in a fixed order per frame, a given
+// (plan, message sequence) produces the same fault schedule on every
+// backend: the simulator (FaultyNetwork, net/fault.h) and the socket
+// transport alike.
 
 #ifndef PSI_NET_FAULT_INJECTOR_H_
 #define PSI_NET_FAULT_INJECTOR_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/random.h"
-#include "common/status.h"
-#include "net/network.h"
+#include "net/envelope.h"
 
 namespace psi {
 
@@ -77,7 +72,7 @@ struct FaultPlan {
   std::vector<FaultRule> rules;
   std::optional<CrashSpec> crash;
 
-  /// \brief The all-zero plan: the decorated transport behaves exactly like
+  /// \brief The all-zero plan: a transport with it attached behaves like
   /// its lossless base.
   static FaultPlan None() { return FaultPlan{}; }
 
@@ -112,57 +107,37 @@ struct FaultStats {
   }
 };
 
-/// \brief The plan-driven fault pipeline, independent of any transport.
+/// \brief The plan-driven fault decisions, independent of any transport.
 class FaultInjector {
  public:
-  /// \brief Channel key (from, to), mirroring Network's internal key.
-  using ChannelKey = std::pair<PartyId, PartyId>;
-
-  /// \brief What the transport must do with the frame OnTransmit returns.
+  /// \brief What the transport does with a frame after the injector saw it.
   enum class Action : uint8_t {
     kDeliver = 0,   ///< Deliver normally (possibly mutated).
     kDeliverFront,  ///< Deliver jumped ahead of the channel queue (reorder).
     kDeliverTwice,  ///< Deliver two identical copies back to back.
-    kSwallow,       ///< Nothing to deliver: dropped, crashed, or held.
-  };
-
-  struct Verdict {
-    Action action = Action::kDeliver;
-    std::vector<uint8_t> frame;  ///< Empty when action == kSwallow.
-  };
-
-  /// \brief Outcome of a retransmission request. When `wire_bytes` is
-  /// nonzero a pristine frame was served (and possibly re-faulted): the
-  /// transport must meter it as a fresh send before acting on `result`.
-  struct Retransmission {
-    size_t wire_bytes = 0;
-    size_t payload_bytes = 0;
-    Result<std::vector<uint8_t>> result =
-        Result<std::vector<uint8_t>>(std::vector<uint8_t>{});
+    kHold,          ///< Hold until the next BeginRound (delay).
+    kDrop,          ///< Nothing to deliver: dropped, or the sender crashed.
   };
 
   explicit FaultInjector(FaultPlan plan);
 
-  /// \brief Runs one outgoing frame through the pipeline: crash check,
-  /// pristine logging, rule matching, mutation. `round` is the transport's
-  /// current round index. RNG draw order is part of this function's
-  /// contract — see the file comment.
-  Verdict OnTransmit(uint64_t round, PartyId from, PartyId to,
-                     std::vector<uint8_t> frame);
+  /// \brief Decides the fate of one outgoing frame: crash check, rule
+  /// matching, and for corrupt or truncate the mutation of `*frame` in
+  /// place. `round` is the transport's current round index. RNG draw order
+  /// is part of this function's contract (see the file comment).
+  Action OnTransmit(uint64_t round, PartyId from, PartyId to,
+                    std::vector<uint8_t>* frame);
 
-  /// \brief Serves a retransmission request from the pristine store,
-  /// re-running the fault pipeline on the copy (a retransmission travels
-  /// the same unreliable wire). Refused when the sender is crashed at
-  /// `round` or the frame was never sent. `channel` and `sender` are
-  /// display strings for error messages (e.g. "P1 -> H", "P1").
-  Retransmission OnRetransmit(uint64_t round, PartyId to, PartyId from,
-                              uint64_t seq, const std::string& channel,
-                              const std::string& sender);
+  /// \brief Re-fault step for a retransmission the transport serves from
+  /// its pristine store: a retransmission travels the same unreliable wire.
+  /// Returns kDrop when a drop or delay rule fires (the copy is lost), else
+  /// kDeliver, with corrupt or truncate applied to `*frame`. Duplicate and
+  /// reorder have no meaning for a direct hand-back.
+  Action OnRetransmit(uint64_t round, PartyId from, PartyId to,
+                      std::vector<uint8_t>* frame);
 
-  /// \brief Frames whose kDelay hold expires now, in original send order.
-  /// The transport calls this at every round boundary and delivers them
-  /// before the round's own traffic.
-  std::vector<std::pair<ChannelKey, std::vector<uint8_t>>> TakeDelayed();
+  /// \brief Counts a retransmission request the transport refused.
+  void CountRefusedRetransmit() { ++stats_.retransmits_refused; }
 
   /// \brief True when `party` is down at round index `round`.
   bool Crashed(PartyId party, uint64_t round) const;
@@ -173,16 +148,12 @@ class FaultInjector {
  private:
   /// Index into plan_.rules of the first rule that matches and fires, or -1.
   int Decide(uint64_t round, PartyId from, PartyId to);
-  std::vector<uint8_t> Mutate(FaultKind kind, std::vector<uint8_t> frame);
+  void Mutate(FaultKind kind, std::vector<uint8_t>* frame);
 
   FaultPlan plan_;
   Rng rng_;
   FaultStats stats_;
   std::vector<uint32_t> triggers_used_;  // Parallel to plan_.rules.
-  // Pristine copies of every frame, per channel, for retransmission.
-  std::map<ChannelKey, std::vector<std::vector<uint8_t>>> sent_log_;
-  // Frames held by kDelay until the next round boundary.
-  std::vector<std::pair<ChannelKey, std::vector<uint8_t>>> delayed_;
 };
 
 }  // namespace psi

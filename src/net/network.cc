@@ -36,6 +36,13 @@ PartyId Network::RegisterParty(std::string name) {
 }
 
 void Network::BeginRound(std::string label) {
+  // Delayed frames surface at the round boundary, before any of the round's
+  // own traffic, in the local mailbox on every backend, so the release
+  // point does not depend on daemon scheduling.
+  for (auto& [key, frame] : delayed_) {
+    Deliver(key.first, key.second, std::move(frame));
+  }
+  delayed_.clear();
   rounds_.push_back(RoundStats{std::move(label), 0, 0, 0});
   if (round_observer_) {
     round_observer_(rounds_.back().label, rounds_.size() - 1);
@@ -44,6 +51,14 @@ void Network::BeginRound(std::string label) {
 
 void Network::SetRoundObserver(RoundObserver observer) {
   round_observer_ = std::move(observer);
+}
+
+void Network::AttachFaultInjector(FaultPlan plan) {
+  injector_.emplace(std::move(plan));
+}
+
+const FaultStats* Network::fault_stats() const {
+  return injector_.has_value() ? &injector_->stats() : nullptr;
 }
 
 const std::string& Network::CurrentRoundLabel() const {
@@ -76,10 +91,46 @@ void Network::Deliver(PartyId from, PartyId to, std::vector<uint8_t> frame,
   }
 }
 
+Status Network::Forward(PartyId from, PartyId to, std::vector<uint8_t> frame,
+                        bool front) {
+  Deliver(from, to, std::move(frame), front);
+  return Status::OK();
+}
+
 Status Network::Transmit(PartyId from, PartyId to,
                          std::vector<uint8_t> frame) {
-  Deliver(from, to, std::move(frame));
-  return Status::OK();
+  using Action = FaultInjector::Action;
+  const uint64_t round = RoundIndex();
+  // A crashed sender's frames never reach the store: a retransmission
+  // request for one is refused, like the frame itself.
+  const bool crashed =
+      injector_.has_value() && injector_->Crashed(from, round);
+  if (CanLoseFrames() && !crashed) {
+    auto seq = PeekEnvelopeSeq(frame);
+    if (seq.ok()) {  // A headerless frame has no sequence to serve.
+      auto& log = sent_log_[{from, to}];
+      log.erase(log.begin(), log.lower_bound(ExpectedRecvSeq(from, to)));
+      log.insert_or_assign(seq.ValueOrDie(), frame);  // Pristine, pre-fault.
+    }
+  }
+  const Action action = injector_.has_value()
+                            ? injector_->OnTransmit(round, from, to, &frame)
+                            : Action::kDeliver;
+  switch (action) {
+    case Action::kDrop:
+      return Status::OK();
+    case Action::kHold:
+      delayed_.emplace_back(ChannelKey{from, to}, std::move(frame));
+      return Status::OK();
+    case Action::kDeliverTwice:
+      PSI_RETURN_NOT_OK(Forward(from, to, frame, /*front=*/false));
+      break;
+    case Action::kDeliverFront:
+      return Forward(from, to, std::move(frame), /*front=*/true);
+    case Action::kDeliver:
+      break;
+  }
+  return Forward(from, to, std::move(frame), /*front=*/false);
 }
 
 Status Network::SendFramed(PartyId from, PartyId to, ProtocolId protocol_id,
@@ -119,10 +170,41 @@ Result<std::vector<uint8_t>> Network::Recv(PartyId to, PartyId from) {
 Result<std::vector<uint8_t>> Network::RequestRetransmit(PartyId to,
                                                         PartyId from,
                                                         uint64_t seq) {
-  (void)seq;
-  return Status::FailedPrecondition(
-      "retransmission unavailable on the lossless network for " +
-      DescribeChannel(from, to));
+  if (!CanLoseFrames()) {
+    return Status::FailedPrecondition(
+        "retransmission unavailable on the lossless network for " +
+        DescribeChannel(from, to));
+  }
+  const uint64_t round = RoundIndex();
+  const bool crashed =
+      injector_.has_value() && injector_->Crashed(from, round);
+  const std::vector<uint8_t>* sent = nullptr;
+  auto log = sent_log_.find({from, to});
+  if (!crashed && log != sent_log_.end()) {
+    auto it = log->second.find(seq);
+    if (it != log->second.end()) sent = &it->second;
+  }
+  if (sent == nullptr) {
+    if (injector_.has_value()) injector_->CountRefusedRetransmit();
+    return Status::FailedPrecondition(
+        "retransmit refused: " +
+        (crashed ? party_name(from) + " crashed after round " +
+                       std::to_string(injector_->plan().crash->after_round)
+                 : "no frame with seq " + std::to_string(seq) +
+                       " awaiting delivery on " + DescribeChannel(from, to)));
+  }
+  // A retransmission travels the same unreliable wire: it is metered like
+  // any other message and the injector gets another shot at it. Bounded
+  // attempts in RecvValidated guarantee termination.
+  MeterSend(from, sent->size(), sent->size() - kEnvelopeOverheadBytes);
+  std::vector<uint8_t> frame = *sent;
+  if (injector_.has_value() &&
+      injector_->OnRetransmit(round, from, to, &frame) ==
+          FaultInjector::Action::kDrop) {
+    return Status::FailedPrecondition("retransmitted frame lost on " +
+                                      DescribeChannel(from, to));
+  }
+  return frame;
 }
 
 Status Network::WaitForPending(PartyId to, PartyId from, uint64_t budget_ms) {
@@ -301,6 +383,12 @@ uint64_t Network::ExpectedRecvSeq(PartyId from, PartyId to) const {
 size_t Network::StashedCount(PartyId from, PartyId to) const {
   auto it = stash_.find({from, to});
   return it == stash_.end() ? 0 : it->second.size();
+}
+
+size_t Network::SentLogFrames() const {
+  size_t frames = 0;
+  for (const auto& [channel, log] : sent_log_) frames += log.size();
+  return frames;
 }
 
 TrafficReport Network::Report() const {

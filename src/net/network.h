@@ -13,8 +13,13 @@
 // duplicated, reordered or mistagged frame to a protocol decoder: it
 // discards stale duplicates, stashes early frames, requests bounded
 // retransmission of missing/damaged ones, and returns a clean ProtocolError
-// when the channel cannot be repaired. Transport backends and fault
-// injection layers (net/fault.h) override the protected hooks beneath it.
+// when the channel cannot be repaired.
+//
+// Frames are lost and re-served in one place, here: an attached
+// FaultInjector (net/fault_injector.h) decides each frame's fate in
+// Transmit, and wherever a frame can be lost the network keeps a pristine
+// per-channel copy that serves RequestRetransmit. Transport backends
+// override the protected delivery hooks beneath it.
 
 #ifndef PSI_NET_NETWORK_H_
 #define PSI_NET_NETWORK_H_
@@ -23,16 +28,16 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
 #include "net/envelope.h"
+#include "net/fault_injector.h"
 
 namespace psi {
-
-/// \brief Dense party identifier assigned by Network::RegisterParty.
-using PartyId = uint32_t;
 
 /// \brief Traffic recorded for one communication round.
 struct RoundStats {
@@ -112,8 +117,19 @@ class Network {
   /// \brief Opens a new communication round. All sends until the next
   /// BeginRound are accounted to this round. Rounds model the paper's
   /// definition: a stage where players send messages and the protocol
-  /// proceeds only once all are delivered.
-  virtual void BeginRound(std::string label);
+  /// proceeds only once all are delivered. Frames a fault rule delayed are
+  /// released into their mailboxes first, before the round's own traffic.
+  void BeginRound(std::string label);
+
+  /// \brief Runs every later transmission through the seeded fault
+  /// pipeline of `plan`: frames are dropped, duplicated, reordered,
+  /// corrupted, truncated or delayed, and a crashed party is silenced.
+  /// FaultyNetwork attaches one at construction; a chaos harness attaches
+  /// the same plan to the socket transport to get the same schedule there.
+  void AttachFaultInjector(FaultPlan plan);
+
+  /// \brief Counters of the attached injector, or nullptr without one.
+  const FaultStats* fault_stats() const;
 
   /// \brief Seals `payload` in a typed envelope (protocol id, step tag,
   /// sender, per-channel sequence number, CRC) and sends it. Wire bytes are
@@ -124,8 +140,8 @@ class Network {
   /// \brief Receives the next in-sequence framed message on (from -> to),
   /// validating magic, checksum, sender, protocol id and step tag before
   /// returning the payload. Damaged or missing frames trigger bounded
-  /// retransmission requests (served only by fault-injection networks that
-  /// keep pristine copies); stale duplicates are discarded; early frames are
+  /// retransmission requests (served only where frames can be lost, from
+  /// the pristine store); stale duplicates are discarded; early frames are
   /// stashed for later calls. Exhausting `opts.max_attempts` yields a
   /// ProtocolError — never a hang and never a corrupt payload.
   [[nodiscard]] Result<std::vector<uint8_t>> RecvValidated(PartyId to, PartyId from,
@@ -134,10 +150,12 @@ class Network {
                                              const RecvOptions& opts = {});
 
   /// \brief Asks the transport to re-deliver the framed message with
-  /// sequence number `seq` on channel (from -> to). The lossless base
-  /// network keeps no copies (nothing is ever lost), so it reports
-  /// FailedPrecondition; FaultyNetwork overrides this with a retransmission
-  /// store.
+  /// sequence number `seq` on channel (from -> to). Served from the
+  /// pristine store, metered as a fresh send and, with an injector attached,
+  /// faulted again (a retransmission travels the same unreliable wire).
+  /// FailedPrecondition when the sender is crashed or no such frame awaits
+  /// delivery. The lossless network keeps no store (nothing is ever lost),
+  /// so there it always reports FailedPrecondition.
   [[nodiscard]] virtual Result<std::vector<uint8_t>> RequestRetransmit(PartyId to,
                                                          PartyId from,
                                                          uint64_t seq);
@@ -178,6 +196,11 @@ class Network {
   /// \brief Frames currently stashed ahead-of-sequence on (from -> to).
   size_t StashedCount(PartyId from, PartyId to) const;
 
+  /// \brief Frames held for retransmission across all channels: only those
+  /// sent but not yet accepted, plus each channel's latest frame until the
+  /// channel's next send prunes it. Always 0 on the lossless network.
+  size_t SentLogFrames() const;
+
   /// \brief Traffic so far.
   TrafficReport Report() const;
 
@@ -202,15 +225,28 @@ class Network {
   [[nodiscard]] virtual Result<std::vector<uint8_t>> Recv(PartyId to,
                                                           PartyId from);
 
-  /// \brief Enqueues a frame without metering. `front` models reordering.
+  /// \brief Enqueues a frame in the mailbox of (from -> to) without
+  /// metering. `front` models reordering.
   void Deliver(PartyId from, PartyId to, std::vector<uint8_t> frame,
                bool front = false);
 
-  /// \brief The delivery hook SendFramed funnels through after
-  /// validation and metering. Fault-injection layers override this to drop,
-  /// duplicate, reorder, corrupt, truncate or delay the frame.
+  /// \brief The hook SendFramed funnels through after validation and
+  /// metering: keeps the pristine copy where frames can be lost, applies
+  /// the injector's verdict, and hands whatever survives to Forward.
   [[nodiscard]] virtual Status Transmit(PartyId from, PartyId to,
                           std::vector<uint8_t> frame);
+
+  /// \brief One delivery hop for a frame that survived the fault pipeline.
+  /// The simulator enqueues it in the mailbox; the socket transport relays
+  /// it through the daemon hosting the channel.
+  [[nodiscard]] virtual Status Forward(PartyId from, PartyId to,
+                                       std::vector<uint8_t> frame,
+                                       bool front);
+
+  /// \brief True when a frame can be lost on the way, so Transmit keeps a
+  /// pristine copy for RequestRetransmit: with an injector attached, or on
+  /// a backend whose wire can fail. The lossless simulator keeps nothing.
+  virtual bool CanLoseFrames() const { return injector_.has_value(); }
 
   /// \brief Blocks (up to `budget_ms`) until a message from `from` to `to`
   /// is pending, for backends where frames arrive asynchronously: the
@@ -257,6 +293,13 @@ class Network {
   std::map<ChannelKey, uint64_t> send_seq_;
   std::map<ChannelKey, uint64_t> recv_seq_;
   std::map<ChannelKey, std::map<uint64_t, std::vector<uint8_t>>> stash_;
+  std::optional<FaultInjector> injector_;
+  // Pristine frames for retransmission, per channel and keyed by envelope
+  // seq. Each send prunes its channel below ExpectedRecvSeq, so the store
+  // holds only frames in flight.
+  std::map<ChannelKey, std::map<uint64_t, std::vector<uint8_t>>> sent_log_;
+  // Frames a delay rule holds until the next BeginRound, in send order.
+  std::vector<std::pair<ChannelKey, std::vector<uint8_t>>> delayed_;
 };
 
 /// \brief Optional capability of a transport backend: executing a stage

@@ -34,14 +34,6 @@ SocketNetwork::SocketNetwork(SocketTransportConfig config)
 
 SocketNetwork::~SocketNetwork() { Shutdown(); }
 
-void SocketNetwork::AttachFaultInjector(FaultPlan plan) {
-  injector_.emplace(std::move(plan));
-}
-
-const FaultStats* SocketNetwork::fault_stats() const {
-  return injector_.has_value() ? &injector_->stats() : nullptr;
-}
-
 bool SocketNetwork::LinkAlive(PartyId party) const {
   auto it = route_.find(party);
   return it != route_.end() && links_[it->second].alive;
@@ -95,7 +87,7 @@ void SocketNetwork::MarkDead(DaemonLink* link) {
   if (link->alive) ++stats_.dead_peers_detected;
   CloseLink(link);
   // Frames queued for the dead connection are gone with it; the pristine
-  // sent log serves any that mattered via RequestRetransmit. Exec results
+  // store serves any that mattered via RequestRetransmit. Exec results
   // of a dead daemon are meaningless — the host re-asks after reconnect.
   link->send_queue.clear();
   link->exec_results.clear();
@@ -158,68 +150,14 @@ Status SocketNetwork::RelayFrame(DaemonLink* link, PartyId from, PartyId to,
                                      body.TakeBuffer()));
 }
 
-Status SocketNetwork::Transmit(PartyId from, PartyId to,
-                               std::vector<uint8_t> frame) {
-  bool front = false;
-  int copies = 1;
-  if (injector_.has_value()) {
-    FaultInjector::Verdict verdict =
-        injector_->OnTransmit(RoundIndex(), from, to, std::move(frame));
-    switch (verdict.action) {
-      case FaultInjector::Action::kSwallow:
-        return Status::OK();
-      case FaultInjector::Action::kDeliverTwice:
-        copies = 2;
-        break;
-      case FaultInjector::Action::kDeliverFront:
-        front = true;
-        break;
-      case FaultInjector::Action::kDeliver:
-        break;
-    }
-    frame = std::move(verdict.frame);
-  } else {
-    LogSent(from, to, frame);
-  }
+Status SocketNetwork::Forward(PartyId from, PartyId to,
+                              std::vector<uint8_t> frame, bool front) {
   const size_t index = LinkFor(from, to);
-  for (int copy = 0; copy < copies; ++copy) {
-    const bool last = copy == copies - 1;
-    if (index == kNoLink) {
-      // Neither endpoint is daemon-hosted: the channel stays in-process.
-      std::vector<uint8_t> delivered = last ? std::move(frame) : frame;
-      Deliver(from, to, std::move(delivered), front);
-    } else {
-      PSI_RETURN_NOT_OK(RelayFrame(&links_[index], from, to, front, frame));
-    }
+  if (index == kNoLink) {
+    // Neither endpoint is daemon-hosted: the channel stays in-process.
+    return Network::Forward(from, to, std::move(frame), front);
   }
-  return Status::OK();
-}
-
-size_t SocketNetwork::SentLogFrames() const {
-  size_t frames = 0;
-  for (const auto& [channel, log] : sent_log_) frames += log.size();
-  return frames;
-}
-
-void SocketNetwork::LogSent(PartyId from, PartyId to,
-                            const std::vector<uint8_t>& frame) {
-  auto seq = PeekEnvelopeSeq(frame);
-  if (!seq.ok()) return;  // A headerless frame has no sequence to serve.
-  auto& log = sent_log_[{from, to}];
-  log.erase(log.begin(), log.lower_bound(ExpectedRecvSeq(from, to)));
-  log.insert_or_assign(seq.ValueOrDie(), frame);
-}
-
-void SocketNetwork::BeginRound(std::string label) {
-  if (injector_.has_value()) {
-    // Delayed frames surface at the round boundary, before any of the
-    // round's own traffic — locally, exactly like the simulator, so the
-    // release point does not depend on daemon scheduling.
-    for (auto& [key, frame] : injector_->TakeDelayed()) {
-      Deliver(key.first, key.second, std::move(frame));
-    }
-  }
-  Network::BeginRound(std::move(label));
+  return RelayFrame(&links_[index], from, to, front, frame);
 }
 
 Status SocketNetwork::PumpLink(DaemonLink* link) {
@@ -392,29 +330,7 @@ Result<std::vector<uint8_t>> SocketNetwork::RequestRetransmit(PartyId to,
         std::to_string(links_[index].port) + " carrying " +
         DescribeChannel(from, to) + " is down; reestablish first");
   }
-  if (injector_.has_value()) {
-    FaultInjector::Retransmission served = injector_->OnRetransmit(
-        RoundIndex(), to, from, seq, DescribeChannel(from, to),
-        party_name(from));
-    if (served.wire_bytes > 0) {
-      MeterSend(from, served.wire_bytes, served.payload_bytes);
-    }
-    return std::move(served.result);
-  }
-  auto it = sent_log_.find({from, to});
-  if (it != sent_log_.end()) {
-    auto sent = it->second.find(seq);
-    if (sent != it->second.end()) {
-      // Served directly from the pristine log (the copy a real daemon
-      // restart would have lost in flight), metered as a fresh send.
-      const std::vector<uint8_t>& frame = sent->second;
-      MeterSend(from, frame.size(), frame.size() - kEnvelopeOverheadBytes);
-      return frame;
-    }
-  }
-  return Status::FailedPrecondition(
-      "retransmit refused: no frame with seq " + std::to_string(seq) +
-      " awaiting delivery on " + DescribeChannel(from, to));
+  return Network::RequestRetransmit(to, from, seq);
 }
 
 Status SocketNetwork::DialAndAuth(DaemonLink* link, bool resume) {

@@ -23,12 +23,14 @@
 //   - recv deadlines: WaitForPending pumps the event loop under the
 //     RecvOptions deadline (default SocketTransportConfig::recv_timeout_ms);
 //   - heartbeat probes with a dead-peer timeout while waiting;
-//   - a pristine per-channel sent log serving RequestRetransmit, so frames
-//     lost inside a killed daemon are recovered the same way the simulator
-//     recovers dropped frames; it is indexed by seq and keeps only frames
-//     the receiver has not accepted yet;
-//   - an optional FaultInjector decorating the relay path, so one chaos
-//     plan produces one fault schedule on either backend (docs/FAULTS.md).
+//   - the base Network's pristine per-channel store, kept on every send
+//     here because a killed daemon loses frames: RequestRetransmit serves
+//     them the same way the simulator serves dropped frames, and refuses
+//     while the carrying link is dead;
+//   - the base Network's fault path: a FaultInjector attached with
+//     AttachFaultInjector decides each frame's fate before Forward relays
+//     it, so one chaos plan produces one fault schedule on either backend
+//     (docs/FAULTS.md).
 //
 // Metering note: RoundStats/TrafficReport count protocol messages only
 // (SendFramed/Send and served retransmissions), identically to the
@@ -42,15 +44,12 @@
 #include <cstdint>
 #include <deque>
 #include <map>
-#include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/annotations.h"
 #include "common/random.h"
 #include "common/status.h"
-#include "net/fault_injector.h"
 #include "net/network.h"
 #include "net/socket_util.h"
 
@@ -125,21 +124,8 @@ class SocketNetwork : public Network, public RemoteExecTransport {
   [[nodiscard]] Status ConnectDaemon(const std::string& host, uint16_t port,
                                      std::vector<PartyId> parties);
 
-  /// \brief Decorates the relay path with the shared fault pipeline: the
-  /// chaos harness attaches the same FaultPlan it hands FaultyNetwork and
-  /// gets the same seeded fault schedule over sockets.
-  void AttachFaultInjector(FaultPlan plan);
-
-  /// \brief Fault counters when an injector is attached, else nullptr.
-  const FaultStats* fault_stats() const;
-
-  /// \brief Releases fault-delayed frames, then opens the round as usual.
-  void BeginRound(std::string label) override;
-
-  /// \brief Serves retransmissions from the pristine sent log (through the
-  /// fault pipeline when an injector is attached), metered as fresh sends.
-  /// Refused while the link carrying the channel is dead: a dead wire
-  /// cannot retransmit — Reestablish() first.
+  /// \brief Network::RequestRetransmit, refused while the link carrying the
+  /// channel is dead: a dead wire cannot retransmit — Reestablish() first.
   [[nodiscard]] Result<std::vector<uint8_t>> RequestRetransmit(
       PartyId to, PartyId from, uint64_t seq) override;
 
@@ -153,11 +139,6 @@ class SocketNetwork : public Network, public RemoteExecTransport {
   void Shutdown();
 
   const TransportStats& transport_stats() const { return stats_; }
-
-  /// \brief Frames held for retransmission across all channels: only those
-  /// sent but not yet accepted, plus each channel's latest frame until the
-  /// channel's next send prunes it.
-  size_t SentLogFrames() const;
 
   /// \brief True when the link carrying `party` is currently usable.
   bool LinkAlive(PartyId party) const;
@@ -181,8 +162,13 @@ class SocketNetwork : public Network, public RemoteExecTransport {
       uint64_t deadline_ms, uint64_t expected_seq) override;
 
  protected:
-  [[nodiscard]] Status Transmit(PartyId from, PartyId to,
-                                std::vector<uint8_t> frame) override;
+  /// \brief Relays the frame through the daemon hosting the channel; a
+  /// channel between unhosted parties stays in-process.
+  [[nodiscard]] Status Forward(PartyId from, PartyId to,
+                               std::vector<uint8_t> frame,
+                               bool front) override;
+  /// \brief Always: a frame in flight dies with a killed daemon.
+  bool CanLoseFrames() const override { return true; }
   [[nodiscard]] Status WaitForPending(PartyId to, PartyId from,
                                       uint64_t budget_ms) override;
   uint64_t DefaultRecvDeadlineMs() const override {
@@ -240,20 +226,11 @@ class SocketNetwork : public Network, public RemoteExecTransport {
   void CloseLink(DaemonLink* link);
   void MarkDead(DaemonLink* link);
 
-  /// Keeps a pristine copy of a framed send for RequestRetransmit and drops
-  /// the channel's frames the receiver has already accepted.
-  void LogSent(PartyId from, PartyId to, const std::vector<uint8_t>& frame);
-
   SocketTransportConfig config_;
   Rng backoff_rng_;
   TransportStats stats_;
   std::vector<DaemonLink> links_;
   std::map<PartyId, size_t> route_;  // Hosted party -> links_ index.
-  std::optional<FaultInjector> injector_;
-  // Pristine frames for retransmission when no injector owns that job,
-  // per channel and keyed by envelope seq. Transmit prunes every frame below
-  // the channel's ExpectedRecvSeq, so the log holds only frames in flight.
-  std::map<ChannelKey, std::map<uint64_t, std::vector<uint8_t>>> sent_log_;
 };
 
 }  // namespace psi

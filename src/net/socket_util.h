@@ -54,7 +54,7 @@ inline constexpr size_t kTransportHeaderBytes = 12;
 /// hostile peer, and the connection is torn down rather than trusted.
 inline constexpr uint32_t kMaxTransportBodyBytes = 1u << 24;
 /// kData flag bit: deliver this frame at the front of the channel queue
-/// (the fault decorator's reorder action crossing the wire).
+/// (the fault injector's reorder action crossing the wire).
 inline constexpr uint8_t kTransportFlagFront = 0x01;
 /// kHello flag bit: this is a reconnect of a previously-admitted session,
 /// not a fresh one (the daemon keeps the session's routing state).

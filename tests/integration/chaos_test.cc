@@ -212,7 +212,7 @@ TEST(ChaosTest, Protocol4SurvivesRandomFaultSchedules) {
   for (uint64_t seed = 0; seed < kNumChaosSeeds; ++seed) {
     FaultyNetwork net(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
     auto result = RunP4(w, &net);
-    faults_injected += net.fault_stats().injected();
+    faults_injected += net.fault_stats()->injected();
     // Drained mailboxes on every outcome: a failed run must not leak frames
     // into whatever would run next on this network.
     ASSERT_EQ(net.PendingCount(), 0u) << "seed=" << seed;
@@ -247,7 +247,7 @@ TEST(ChaosTest, Protocol6SurvivesRandomFaultSchedules) {
   for (uint64_t seed = 0; seed < kNumChaosSeeds; ++seed) {
     FaultyNetwork net(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
     auto result = RunP6(w, &net);
-    faults_injected += net.fault_stats().injected();
+    faults_injected += net.fault_stats()->injected();
     ASSERT_EQ(net.PendingCount(), 0u) << "seed=" << seed;
     if (result.ok()) {
       ++ok_runs;
@@ -282,7 +282,7 @@ TEST(ChaosTest, PackedAggregationSurvivesRandomFaultSchedules) {
     FaultyNetwork net(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
     auto result =
         RunP4(w, &net, nullptr, nullptr, P4Aggregation::kPaillierPacked);
-    faults_injected += net.fault_stats().injected();
+    faults_injected += net.fault_stats()->injected();
     ASSERT_EQ(net.PendingCount(), 0u) << "seed=" << seed;
     if (result.ok()) {
       ++ok_runs;
@@ -314,7 +314,7 @@ TEST(ChaosTest, PackedProtocol6SurvivesRandomFaultSchedules) {
   for (uint64_t seed = 0; seed < kSeeds; ++seed) {
     FaultyNetwork net(FaultPlan::RandomPlan(seed, /*num_parties=*/w.m + 1));
     auto result = RunP6(w, &net, kMode);
-    faults_injected += net.fault_stats().injected();
+    faults_injected += net.fault_stats()->injected();
     ASSERT_EQ(net.PendingCount(), 0u) << "seed=" << seed;
     if (result.ok()) {
       ++ok_runs;
@@ -355,7 +355,7 @@ TEST(ChaosTest, PackedHomomorphicSumZeroFaultPlanMetersExactly) {
   }
   ASSERT_TRUE(proto.Run(inputs, rng_ptrs, "h.").ok());
   ASSERT_TRUE(proto.last_run_packed());
-  EXPECT_EQ(net.fault_stats().injected(), 0u);
+  EXPECT_EQ(net.fault_stats()->injected(), 0u);
 
   HomomorphicSumCostParams p;
   p.m = m;
@@ -376,8 +376,8 @@ TEST(ChaosTest, Protocol4ZeroFaultPlanMatchesCostModelExactly) {
   FaultyNetwork net(FaultPlan::None());
   size_t log_s = 0, q = 0;
   ASSERT_TRUE(RunP4(w, &net, &log_s, &q).ok());
-  EXPECT_EQ(net.fault_stats().injected(), 0u);
-  EXPECT_EQ(net.fault_stats().retransmits_served, 0u);
+  EXPECT_EQ(net.fault_stats()->injected(), 0u);
+  EXPECT_EQ(net.fault_stats()->retransmits_served, 0u);
 
   Protocol4CostParams params;
   params.m = w.m;
@@ -412,7 +412,7 @@ TEST(ChaosTest, Protocol6ZeroFaultPlanMatchesCostModelExactly) {
   WorldData w = MakeWorldData(3, 14, 40, 8, 88);
   FaultyNetwork net(FaultPlan::None());
   ASSERT_TRUE(RunP6(w, &net).ok());
-  EXPECT_EQ(net.fault_stats().injected(), 0u);
+  EXPECT_EQ(net.fault_stats()->injected(), 0u);
 
   auto report = net.Report();
   // Table 2: NR = 4, NM = 3m.
@@ -689,7 +689,7 @@ void ExpectChaosInvariant(size_t num_parties, uint64_t seeds, Run run) {
   for (uint64_t seed = 0; seed < seeds; ++seed) {
     FaultyNetwork net(FaultPlan::RandomPlan(seed, num_parties));
     Result<std::vector<double>> result = run(&net);
-    faults_injected += net.fault_stats().injected();
+    faults_injected += net.fault_stats()->injected();
     ASSERT_EQ(net.PendingCount(), 0u) << "seed=" << seed;
     if (result.ok()) {
       ++ok_runs;

@@ -12,6 +12,7 @@
 #include "crypto/rsa.h"
 #include "graph/generators.h"
 #include "influence/user_score.h"
+#include "mpc/wire.h"
 #include "net/envelope.h"
 
 namespace psi {
@@ -374,6 +375,50 @@ TEST(Protocol6Test, TruncatedAggregateIsRejected) {
         });
     EXPECT_EQ(DecodeError(st), "element count exceeds buffer capacity");
   }
+}
+
+// A host that publishes an Omega with one arc endpoint far outside [0, n):
+// every Omega frame H sends is re-sealed with the arc (5e7, 0) appended.
+class OutOfRangeOmegaNetwork : public Network {
+ public:
+  explicit OutOfRangeOmegaNetwork(PartyId host) : host_(host) {}
+
+ protected:
+  Status Transmit(PartyId from, PartyId to,
+                  std::vector<uint8_t> frame) override {
+    if (from == host_) {
+      PSI_ASSIGN_OR_RETURN(Envelope env, OpenEnvelope(frame));
+      if (env.protocol_id == ProtocolId::kPropagationGraph && env.step == 2) {
+        std::vector<Arc> arcs;
+        PSI_RETURN_NOT_OK(wire::UnpackArcs(env.payload, &arcs));
+        arcs.push_back(Arc{50000000, 0});
+        frame = SealEnvelope(env.protocol_id, env.step, env.sender, env.seq,
+                             wire::PackArcs(arcs));
+      }
+    }
+    return Network::Transmit(from, to, std::move(frame));
+  }
+
+ private:
+  PartyId host_;
+};
+
+TEST(Protocol6Test, OutOfRangeOmegaArcIsAProtocolError) {
+  P6Fixture f(2);
+  // The fixture's parties, registered in the same order: H first.
+  OutOfRangeOmegaNetwork net(f.host);
+  net.RegisterParty("H");
+  for (size_t k = 0; k < f.providers.size(); ++k) {
+    net.RegisterParty("P" + std::to_string(k + 1));
+  }
+  PropagationGraphProtocol proto(&net, f.host, f.providers, SmallRsaConfig());
+  auto result = proto.Run(*f.graph, 25, f.provider_logs, f.host_rng.get(),
+                          f.RngPtrs());
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kProtocolError);
+  EXPECT_NE(result.status().message().find("out of range"), std::string::npos)
+      << result.status().message();
+  EXPECT_EQ(net.PendingCount(), 0u);
 }
 
 }  // namespace

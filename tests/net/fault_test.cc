@@ -37,8 +37,8 @@ TEST_F(FaultTest, ZeroPlanBehavesLikeLosslessNetwork) {
   ASSERT_TRUE(framed.ok());
   EXPECT_EQ(framed.ValueOrDie().size(), 7u);
 
-  EXPECT_EQ(net.fault_stats().injected(), 0u);
-  EXPECT_EQ(net.fault_stats().retransmits_served, 0u);
+  EXPECT_EQ(net.fault_stats()->injected(), 0u);
+  EXPECT_EQ(net.fault_stats()->retransmits_served, 0u);
   auto report = net.Report();
   EXPECT_EQ(report.num_messages, 2u);
   EXPECT_EQ(report.num_payload_bytes, 107u);
@@ -58,8 +58,8 @@ TEST_F(FaultTest, DroppedFrameRecoveredByRetransmission) {
   auto r = net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie(), (std::vector<uint8_t>{42}));
-  EXPECT_EQ(net.fault_stats().dropped, 1u);
-  EXPECT_EQ(net.fault_stats().retransmits_served, 1u);
+  EXPECT_EQ(net.fault_stats()->dropped, 1u);
+  EXPECT_EQ(net.fault_stats()->retransmits_served, 1u);
 }
 
 TEST_F(FaultTest, CorruptedFrameRecoveredByRetransmission) {
@@ -74,8 +74,8 @@ TEST_F(FaultTest, CorruptedFrameRecoveredByRetransmission) {
   auto r = net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie(), std::vector<uint8_t>(64, 0xAB));
-  EXPECT_EQ(net.fault_stats().corrupted, 1u);
-  EXPECT_GE(net.fault_stats().retransmits_served, 1u);
+  EXPECT_EQ(net.fault_stats()->corrupted, 1u);
+  EXPECT_GE(net.fault_stats()->retransmits_served, 1u);
 }
 
 TEST_F(FaultTest, TruncatedFrameRecoveredByRetransmission) {
@@ -90,7 +90,7 @@ TEST_F(FaultTest, TruncatedFrameRecoveredByRetransmission) {
   auto r = net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.ValueOrDie(), std::vector<uint8_t>(64, 0xCD));
-  EXPECT_EQ(net.fault_stats().truncated, 1u);
+  EXPECT_EQ(net.fault_stats()->truncated, 1u);
 }
 
 TEST_F(FaultTest, DuplicateIsDeliveredOnceAndStaleCopyDiscarded) {
@@ -109,7 +109,7 @@ TEST_F(FaultTest, DuplicateIsDeliveredOnceAndStaleCopyDiscarded) {
   // The second call skips the stale duplicate of seq 0 and returns seq 1.
   EXPECT_EQ(net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1)
                 .ValueOrDie()[0], 2);
-  EXPECT_EQ(net.fault_stats().duplicated, 1u);
+  EXPECT_EQ(net.fault_stats()->duplicated, 1u);
   EXPECT_EQ(net.PendingCount(), 0u);
 }
 
@@ -128,7 +128,7 @@ TEST_F(FaultTest, ReorderedFramesAreStashedAndResequenced) {
                 .ValueOrDie()[0], 1);
   EXPECT_EQ(net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1)
                 .ValueOrDie()[0], 2);
-  EXPECT_EQ(net.fault_stats().reordered, 2u);
+  EXPECT_EQ(net.fault_stats()->reordered, 2u);
   EXPECT_EQ(net.PendingCount(), 0u);
 }
 
@@ -145,7 +145,7 @@ TEST_F(FaultTest, DelayedFrameSurfacesAtNextRound) {
   EXPECT_TRUE(net.HasPending(b_, a_));
   EXPECT_EQ(net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1)
                 .ValueOrDie()[0], 5);
-  EXPECT_EQ(net.fault_stats().delayed, 1u);
+  EXPECT_EQ(net.fault_stats()->delayed, 1u);
 }
 
 TEST_F(FaultTest, PersistentDropExhaustsBoundedAttempts) {
@@ -181,8 +181,8 @@ TEST_F(FaultTest, CrashedPartyYieldsCleanProtocolError) {
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kProtocolError);
   EXPECT_NE(r.status().message().find("crashed"), std::string::npos);
-  EXPECT_GE(net.fault_stats().crash_dropped, 1u);
-  EXPECT_GE(net.fault_stats().retransmits_refused, 1u);
+  EXPECT_GE(net.fault_stats()->crash_dropped, 1u);
+  EXPECT_GE(net.fault_stats()->retransmits_refused, 1u);
 }
 
 TEST_F(FaultTest, RetransmitRefusedForUnknownSequence) {
@@ -192,7 +192,7 @@ TEST_F(FaultTest, RetransmitRefusedForUnknownSequence) {
   auto r = net.RequestRetransmit(b_, a_, /*seq=*/99);
   ASSERT_FALSE(r.ok());
   EXPECT_NE(r.status().message().find("seq 99"), std::string::npos);
-  EXPECT_EQ(net.fault_stats().retransmits_refused, 1u);
+  EXPECT_EQ(net.fault_stats()->retransmits_refused, 1u);
 }
 
 TEST_F(FaultTest, RetransmissionsAreMetered) {
@@ -212,6 +212,52 @@ TEST_F(FaultTest, RetransmissionsAreMetered) {
   EXPECT_EQ(report.num_payload_bytes, 20u);
 }
 
+TEST_F(FaultTest, RetransmissionStoreStaysBoundedAndServesFramesInFlight) {
+  // The plan stays idle through the round trips and drops one frame in the
+  // round after them.
+  constexpr uint8_t kSessions = 200;
+  FaultPlan plan;
+  FaultRule drop = Always(FaultKind::kDrop, /*max_triggers=*/1);
+  drop.round_min = kSessions;
+  plan.rules.push_back(drop);
+  FaultyNetwork net(plan);
+  Register(&net);
+
+  // Many sessions' worth of round trips in both directions: each send
+  // prunes the frames its channel already accepted, so the store holds at
+  // most the latest frame per channel instead of every frame ever sent.
+  for (uint8_t session = 0; session < kSessions; ++session) {
+    net.BeginRound("session");
+    ASSERT_TRUE(
+        net.SendFramed(a_, b_, ProtocolId::kSecureSum, 1, {session}).ok());
+    ASSERT_TRUE(net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1).ok());
+    ASSERT_TRUE(
+        net.SendFramed(b_, a_, ProtocolId::kSecureSum, 2, {session}).ok());
+    ASSERT_TRUE(net.RecvValidated(a_, b_, ProtocolId::kSecureSum, 2).ok());
+  }
+  EXPECT_LE(net.SentLogFrames(), 2u);
+
+  // A frame lost before it was accepted is still served, even after a
+  // later send on its channel pruned the store: the first of two frames is
+  // dropped, so RecvValidated stashes the second and asks for the first.
+  net.BeginRound("lost");
+  const std::vector<uint8_t> first = {7, 7, 7};
+  const std::vector<uint8_t> second = {8};
+  ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 3, first).ok());
+  ASSERT_TRUE(net.SendFramed(a_, b_, ProtocolId::kSecureSum, 3, second).ok());
+  EXPECT_EQ(net.fault_stats()->dropped, 1u);
+  auto got = net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 3);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_EQ(got.ValueOrDie(), first);
+  got = net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 3);
+  ASSERT_TRUE(got.ok()) << got.status().message();
+  EXPECT_EQ(got.ValueOrDie(), second);
+  EXPECT_EQ(net.fault_stats()->retransmits_served, 1u);
+  EXPECT_EQ(net.Report().rounds.back().num_messages, 3u);  // Two + a resend.
+  EXPECT_LE(net.SentLogFrames(), 3u);
+  EXPECT_EQ(net.PendingCount(), 0u);
+}
+
 TEST_F(FaultTest, SameSeedSameSchedule) {
   auto run = [this](uint64_t seed) {
     FaultyNetwork net(FaultPlan::RandomPlan(seed, 2));
@@ -224,7 +270,7 @@ TEST_F(FaultTest, SameSeedSameSchedule) {
       outcomes.push_back(
           net.RecvValidated(b_, a_, ProtocolId::kSecureSum, 1).ok());
     }
-    return std::make_pair(outcomes, net.fault_stats().injected());
+    return std::make_pair(outcomes, net.fault_stats()->injected());
   };
   for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
     auto first = run(seed);
@@ -312,7 +358,7 @@ TEST_F(FaultTest, CrashRestartWindowSilencesOnlyItsRounds) {
   net.BeginRound("r1");  // Round index 1: inside (0, 2), b is down.
   ASSERT_TRUE(send(2).ok());
   EXPECT_FALSE(net.HasPending(a_, b_));
-  EXPECT_EQ(net.fault_stats().crash_dropped, 1u);
+  EXPECT_EQ(net.fault_stats()->crash_dropped, 1u);
   // The crashed party cannot serve its lost frame either.
   EXPECT_FALSE(recv().ok());
 
@@ -322,6 +368,27 @@ TEST_F(FaultTest, CrashRestartWindowSilencesOnlyItsRounds) {
   auto msg = recv();
   ASSERT_TRUE(msg.ok());
   EXPECT_EQ(msg.ValueOrDie()[0], 3);
+}
+
+TEST_F(FaultTest, FramesSentWhileCrashedAreNeverServedAfterRestart) {
+  FaultPlan plan;
+  plan.crash = CrashSpec{/*party=*/1, /*after_round=*/0, /*restart_round=*/2};
+  FaultyNetwork net(plan);
+  Register(&net);
+  net.BeginRound("r0");
+  ASSERT_TRUE(net.SendFramed(b_, a_, ProtocolId::kSecureSum, 1, {1}).ok());
+  ASSERT_TRUE(net.RecvValidated(a_, b_, ProtocolId::kSecureSum, 1).ok());
+  net.BeginRound("r1");  // b is down: its frame is lost, not stored.
+  ASSERT_TRUE(net.SendFramed(b_, a_, ProtocolId::kSecureSum, 1, {2}).ok());
+
+  net.BeginRound("r2");  // b is back, but the lost frame stays lost.
+  auto r = net.RequestRetransmit(a_, b_, /*seq=*/1);
+  ASSERT_FALSE(r.ok());
+  EXPECT_NE(r.status().message().find("no frame with seq 1"),
+            std::string::npos)
+      << r.status().message();
+  EXPECT_EQ(net.fault_stats()->retransmits_refused, 1u);
+  EXPECT_EQ(net.fault_stats()->retransmits_served, 0u);
 }
 
 TEST_F(FaultTest, RandomRestartPlanIsDeterministicAndAlwaysRestarts) {

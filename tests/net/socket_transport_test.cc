@@ -16,6 +16,7 @@
 
 #include "net/daemon.h"
 #include "net/envelope.h"
+#include "net/fault.h"
 #include "net/fault_injector.h"
 #include "net/network.h"
 #include "net/socket_transport.h"
@@ -526,6 +527,85 @@ TEST(SocketTransportTest, DroppedFrameIsRepairedByRetransmissionOverWire) {
   EXPECT_EQ(net.fault_stats()->dropped, 1u);
   EXPECT_EQ(net.fault_stats()->retransmits_served, 1u);
   EXPECT_EQ(net.PendingCount(), 0u);
+}
+
+// What one fault plan did to one run: the payloads received, every fault
+// counter and the traffic report.
+struct FaultedRun {
+  std::vector<std::vector<uint8_t>> payloads;
+  std::vector<uint64_t> stats;
+  std::string report;
+};
+
+// Five rounds over H, P1 and P2, every channel carrying one frame per
+// round, received in a fixed order. Parties must be registered.
+FaultedRun RunFaultedRounds(Network* net) {
+  const std::vector<std::pair<PartyId, PartyId>> channels = {
+      {0, 1}, {1, 0}, {0, 2}, {2, 0}, {2, 1}, {1, 2}};
+  RecvOptions opts;
+  opts.deadline_ms = 400;  // A lost relayed frame waits this out once.
+  FaultedRun run;
+  for (uint8_t round = 0; round < 5; ++round) {
+    net->BeginRound("faulted");
+    for (uint8_t c = 0; c < channels.size(); ++c) {
+      const std::vector<uint8_t> payload(8 + c, static_cast<uint8_t>(round));
+      EXPECT_TRUE(net->SendFramed(channels[c].first, channels[c].second,
+                                  ProtocolId::kSecureSum, c, payload)
+                      .ok());
+    }
+    for (uint8_t c = 0; c < channels.size(); ++c) {
+      auto got = net->RecvValidated(channels[c].second, channels[c].first,
+                                    ProtocolId::kSecureSum, c, opts);
+      EXPECT_TRUE(got.ok()) << got.status().message();
+      run.payloads.push_back(got.ok() ? got.ValueOrDie()
+                                      : std::vector<uint8_t>{});
+    }
+  }
+  const FaultStats& s = *net->fault_stats();
+  run.stats = {s.transmitted, s.dropped,      s.duplicated,
+               s.reordered,   s.corrupted,    s.truncated,
+               s.delayed,     s.crash_dropped, s.retransmits_served,
+               s.retransmits_refused};
+  run.report = net->Report().ToString();
+  EXPECT_EQ(net->PendingCount(), 0u);
+  return run;
+}
+
+TEST(SocketTransportTest, OneFaultPlanGivesTheSimulatorsStatsAndMetering) {
+  // One rule per kind, each pinned to one channel and one round, on relayed
+  // channels (touching the hosted P1) and on a local one (H -> P2).
+  auto rule = [](FaultKind kind, PartyId from, PartyId to, uint64_t round) {
+    FaultRule r;
+    r.kind = kind;
+    r.from = from;
+    r.to = to;
+    r.round_min = round;
+    r.round_max = round;
+    r.max_triggers = 1;
+    return r;
+  };
+  FaultPlan plan;
+  plan.seed = 9;
+  plan.rules = {rule(FaultKind::kDrop, 0, 1, 0),
+                rule(FaultKind::kCorrupt, 1, 0, 1),
+                rule(FaultKind::kTruncate, 0, 2, 2),
+                rule(FaultKind::kDuplicate, 2, 1, 3)};
+
+  FaultyNetwork sim(plan);
+  for (const char* name : {"H", "P1", "P2"}) sim.RegisterParty(name);
+  const FaultedRun expected = RunFaultedRounds(&sim);
+  EXPECT_EQ(sim.fault_stats()->injected(), 4u);
+  EXPECT_EQ(sim.fault_stats()->retransmits_served, 3u);
+
+  DaemonThread daemon;
+  SocketNetwork net(FastConfig());
+  for (const char* name : {"H", "P1", "P2"}) net.RegisterParty(name);
+  ASSERT_TRUE(net.ConnectDaemon("127.0.0.1", daemon.port(), {1}).ok());
+  net.AttachFaultInjector(plan);
+  const FaultedRun got = RunFaultedRounds(&net);
+  EXPECT_EQ(got.payloads, expected.payloads);
+  EXPECT_EQ(got.stats, expected.stats);
+  EXPECT_EQ(got.report, expected.report);
 }
 
 }  // namespace
