@@ -83,13 +83,7 @@ constexpr char kProgramCounters[] = "p4/counters";
     PSI_ASSIGN_OR_RETURN(const auto buf, st.Get(kKeyOmega));
     PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &provider_omega));
   }
-  ActionLog log;
-  {
-    PSI_ASSIGN_OR_RETURN(const auto buf, st.Get(kKeyExecLog));
-    std::vector<ActionRecord> records;
-    PSI_RETURN_NOT_OK(wire::UnpackRecords(buf, &records));
-    for (const ActionRecord& rec : records) log.Add(rec);
-  }
+  PSI_ASSIGN_OR_RETURN(const ActionLog log, LoadProviderLog(st));
 
   PSI_ASSIGN_OR_RETURN(std::vector<uint64_t> counters,
                        ComputeProviderCounterVector(log, num_users,
@@ -194,6 +188,19 @@ Result<std::vector<ReceivedOmega>> PublishOmega(
     }
   }
   return received;
+}
+
+void StageProviderLog(const ActionLog& log, SessionState* state) {
+  state->Put(kKeyExecLog, wire::PackRecords(log.records()));
+}
+
+Result<ActionLog> LoadProviderLog(const SessionState& state) {
+  PSI_ASSIGN_OR_RETURN(const auto buf, state.Get(kKeyExecLog));
+  std::vector<ActionRecord> records;
+  PSI_RETURN_NOT_OK(wire::UnpackRecords(buf, &records));
+  ActionLog log;
+  for (const ActionRecord& rec : records) log.Add(rec);
+  return log;
 }
 
 BigUInt CounterBound(const Protocol4Config& config, uint64_t num_actions_public) {
@@ -384,7 +391,7 @@ Result<LinkInfluence> LinkInfluenceProtocol::RunSession(
   for (size_t k = 0; k < m; ++k) {
     SessionState& st = session.PartyState(providers_[k]);
     st.Put(kKeyExecCfg, cfg_buf);
-    st.Put(kKeyExecLog, wire::PackRecords(provider_logs[k].records()));
+    StageProviderLog(provider_logs[k], &st);
   }
 
   // Stage bodies are replayable: inputs come from the parties' SessionStates

@@ -135,6 +135,11 @@ struct ReceivedOmega {
     const std::vector<PartyId>& providers,
     const std::vector<uint8_t>& packed_omega, size_t n);
 
+/// \brief Stages a provider's log in its `state` before the session runs
+/// (Protocols 4 and 6); LoadProviderLog reads it back in a stage program.
+void StageProviderLog(const ActionLog& log, SessionState* state);
+[[nodiscard]] Result<ActionLog> LoadProviderLog(const SessionState& state);
+
 /// \brief The public counter bound A of Protocol 2: |A| actions, times the
 /// weight-scale ceiling for the Eq. (2) variant.
 BigUInt CounterBound(const Protocol4Config& config, uint64_t num_actions_public);

@@ -35,7 +35,6 @@ constexpr char kKeyDeltas[] = "deltas";
 // the public encryption config and the provider's own action log. They
 // checkpoint (and ship to the provider's daemon) with everything else.
 constexpr char kKeyExecCfg[] = "exec.cfg";
-constexpr char kKeyExecLog[] = "exec.log";
 
 // Registry name of the per-provider encryption stage program.
 constexpr char kProgramEncrypt[] = "p6/encrypt";
@@ -278,13 +277,7 @@ constexpr uint8_t kModePacked = 2;
   }
   const PackingCodec* codec_ptr = codec.has_value() ? &*codec : nullptr;
 
-  ActionLog log;
-  {
-    PSI_ASSIGN_OR_RETURN(const auto buf, st.Get(kKeyExecLog));
-    std::vector<ActionRecord> records;
-    PSI_RETURN_NOT_OK(wire::UnpackRecords(buf, &records));
-    for (const ActionRecord& rec : records) log.Add(rec);
-  }
+  PSI_ASSIGN_OR_RETURN(const ActionLog log, LoadProviderLog(st));
 
   BinaryWriter w;
   uint64_t ops = 0;
@@ -375,7 +368,7 @@ Result<Protocol6Output> PropagationGraphProtocol::RunSession(
   for (size_t k = 0; k < m; ++k) {
     SessionState& st = session.PartyState(providers_[k]);
     st.Put(kKeyExecCfg, cfg_buf);
-    st.Put(kKeyExecLog, wire::PackRecords(provider_logs[k].records()));
+    StageProviderLog(provider_logs[k], &st);
   }
 
   // ---- Steps 1-2: H publishes Omega_E'. ----

@@ -1,6 +1,5 @@
 #include "mpc/remote_exec.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "common/logging.h"
@@ -82,7 +81,7 @@ wire::ExecResponse StageExecutor::Dispatch(const wire::ExecRequest& req) {
              slot.stages_completed == req.stage_index + 1) {
     // The host is retrying a call whose answer it never saw (timeout,
     // SIGSTOP, dropped link). The program already ran from exactly this
-    // request's pre-state: re-serve its checkpoint, recompute nothing.
+    // request's pre-state: re-serve its result, recompute nothing.
     ++stats_.cache_hits;
     wire::ExecResponse cached = slot.cached;
     cached.from_cache = true;
@@ -105,6 +104,7 @@ wire::ExecResponse StageExecutor::Dispatch(const wire::ExecRequest& req) {
   // The request's keys start the stage's streams afresh, so a replayed
   // request re-derives bitwise the same draws no matter what ran here before.
   std::vector<Rng> rngs(req.rng_keys.begin(), req.rng_keys.end());
+  const SessionState pre = slot.state;
   StageProgramContext ctx;
   ctx.state = &slot.state;
   for (Rng& rng : rngs) ctx.rngs.push_back(&rng);
@@ -119,7 +119,7 @@ wire::ExecResponse StageExecutor::Dispatch(const wire::ExecRequest& req) {
   stats_.crypto_ops += ctx.crypto_ops;
   resp.outcome = wire::ExecOutcome::kOk;
   resp.crypto_ops = ctx.crypto_ops;
-  resp.state_blob = slot.state.Serialize();
+  resp.state_blob = slot.state.ChangedSince(pre).Serialize();
   slot.stages_completed = req.stage_index + 1;
   slot.has_cached = true;
   slot.cached_stage = req.stage_index;
@@ -177,9 +177,10 @@ Status RemoteSessionOrchestrator::ApplyResult(ProtocolSession* session,
                                               const RemoteStageSpec& spec,
                                               size_t index,
                                               const wire::ExecResponse& resp) {
-  // A rejected blob leaves the session untouched.
-  PSI_ASSIGN_OR_RETURN(session->PartyState(spec.party),
+  // What the stage wrote; a rejected blob leaves the session untouched.
+  PSI_ASSIGN_OR_RETURN(const SessionState written,
                        SessionState::Deserialize(resp.state_blob));
+  session->PartyState(spec.party).PutAll(written);
   session->MeterCryptoOps(resp.crypto_ops);
   if (resp.from_cache) ++exec_stats_.cache_hits;
   exec_stats_.remote_crypto_ops += resp.crypto_ops;
@@ -204,13 +205,10 @@ Status RemoteSessionOrchestrator::RunStage(ProtocolSession* session,
        attempt <= exec_policy_.max_attempts_per_stage && !give_up_remote;
        ++attempt) {
     if (attempt > 1) {
-      const uint32_t shift = std::min<uint32_t>(attempt - 2, 20);
-      const uint64_t base = std::min(exec_policy_.backoff_base_ms << shift,
-                                     exec_policy_.backoff_max_ms);
-      const uint64_t jitter =
-          exec_backoff_rng_.UniformU64(base > 0 ? base : 1);
-      exec_stats_.backoff_sleep_ms += base + jitter;
-      SleepMs(base + jitter);
+      exec_stats_.backoff_sleep_ms +=
+          SleepBackoffMs(exec_policy_.backoff_base_ms,
+                         exec_policy_.backoff_max_ms, attempt - 2,
+                         &exec_backoff_rng_);
       // Whatever ended the previous attempt may have killed the link; a
       // reconnected daemon might be a fresh process, so forget what it
       // held and let kNeedState (or the proactive include below) restore.

@@ -8,15 +8,14 @@
 //     message carries one sealed ProtocolId::kExec request envelope, the
 //     executor runs the named registered program against its cached
 //     (session, party) state with the streams keyed by the request's stage
-//     keys, and the response envelope ships the *daemon-side checkpoint* —
-//     the post-stage SessionState — back to the host, which commits it
-//     exactly as if the stage had run in-process. A fresh daemon
-//     (restarted after SIGKILL) holds no state and answers kNeedState; the
-//     host re-ships the last committed checkpoint, which is the same
-//     restore the local resume path performs. Completed results are cached
-//     per slot, so a retry of a call whose answer was lost in flight
-//     (SIGSTOP, timeout) is served without recomputing a single Paillier
-//     operation.
+//     keys, and the response envelope ships back the entries the stage
+//     wrote, which the host Puts into the party's state exactly as if the
+//     stage had run in-process. A fresh daemon (restarted after SIGKILL)
+//     holds no state and answers kNeedState; the host re-ships the party's
+//     whole state, the same restore the local resume path performs.
+//     Completed results are cached per slot, so a retry of a call whose
+//     answer was lost in flight (SIGSTOP, timeout) is served without
+//     recomputing a single Paillier operation.
 //
 //   * RemoteSessionOrchestrator extends SessionOrchestrator: stages added
 //     with AddRemoteStage are dispatched to the daemon hosting the
@@ -32,14 +31,15 @@
 //     session-level retries are inherited unchanged from the base
 //     orchestrator.
 //
-// Secrecy: exec request/response blobs contain exactly one party's durable
-// state and the stage's stream keys — key material included — and travel
-// only on the link to that party's own daemon, which is that party's
-// execution environment (the same trust domain that would hold the state in
-// a real deployment). They never transit a peer party. The exec channel is
-// transport traffic: it is counted in TransportStats, never in the protocol
-// TrafficReport, so remote-executed transcripts stay bitwise-comparable
-// with simulator runs (docs/TRANSPORT.md, "Remote execution").
+// Secrecy: exec request/response blobs contain one party's durable state
+// (or the entries a stage wrote) and the stage's stream keys — key material
+// included — and travel only on the link to that party's own daemon, which
+// is that party's execution environment (the same trust domain that would
+// hold the state in a real deployment). They never transit a peer party.
+// The exec channel is transport traffic: it is counted in TransportStats,
+// never in the protocol TrafficReport, so remote-executed transcripts stay
+// bitwise-comparable with simulator runs (docs/TRANSPORT.md, "Remote
+// execution").
 
 #ifndef PSI_MPC_REMOTE_EXEC_H_
 #define PSI_MPC_REMOTE_EXEC_H_
@@ -99,7 +99,7 @@ class StageExecutor {
     SessionState state;
     bool has_cached = false;
     uint32_t cached_stage = 0;
-    /// The full response of the last completed run, re-served (flagged
+    /// The response of the last completed run, re-served (flagged
     /// from_cache) when the host retries a call whose answer it never saw.
     PSI_SECRET wire::ExecResponse cached;
   };
@@ -168,8 +168,8 @@ class RemoteSessionOrchestrator : public SessionOrchestrator {
       const RemoteStageSpec& spec, size_t index, uint32_t attempt,
       bool include_state, uint64_t deadline_ms, bool* no_engine);
 
-  /// Commits a kOk response: installs the daemon-side checkpoint into the
-  /// session (party state, crypto-op meter).
+  /// Commits a kOk response: Puts the entries the stage wrote into the
+  /// party's state and meters the stage's crypto ops.
   [[nodiscard]] Status ApplyResult(ProtocolSession* session,
                                    const RemoteStageSpec& spec, size_t index,
                                    const wire::ExecResponse& resp);

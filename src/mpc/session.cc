@@ -14,7 +14,12 @@ namespace psi {
 // -- SessionState -----------------------------------------------------------
 
 void SessionState::Put(const std::string& key, std::vector<uint8_t> value) {
-  entries_[key] = std::move(value);
+  entries_[key] =
+      std::make_shared<const std::vector<uint8_t>>(std::move(value));
+}
+
+void SessionState::PutAll(const SessionState& entries) {
+  for (const auto& [key, value] : entries.entries_) entries_[key] = value;
 }
 
 bool SessionState::Has(const std::string& key) const {
@@ -27,13 +32,24 @@ Result<std::vector<uint8_t>> SessionState::Get(const std::string& key) const {
     return Status::FailedPrecondition("SessionState: no entry under key '" +
                                       key + "'");
   }
-  return it->second;
+  return *it->second;
+}
+
+SessionState SessionState::ChangedSince(const SessionState& before) const {
+  SessionState changed;
+  for (const auto& [key, value] : entries_) {
+    auto it = before.entries_.find(key);
+    if (it == before.entries_.end() || it->second != value) {
+      changed.entries_.emplace(key, value);
+    }
+  }
+  return changed;
 }
 
 uint64_t SessionState::ByteSize() const {
   uint64_t total = 0;
   for (const auto& [key, value] : entries_) {
-    total += key.size() + value.size();
+    total += key.size() + value->size();
   }
   return total;
 }
@@ -45,7 +61,7 @@ std::vector<uint8_t> SessionState::Serialize() const {
   w.WriteVarU64(entries_.size());
   for (const auto& [key, value] : entries_) {
     w.WriteString(key);
-    w.WriteBytes(value);
+    w.WriteBytes(*value);
   }
   return w.TakeBuffer();
 }
@@ -69,11 +85,10 @@ Result<SessionState> SessionState::Deserialize(
     std::vector<uint8_t> value;
     PSI_RETURN_NOT_OK(r.ReadString(&key));
     PSI_RETURN_NOT_OK(r.ReadBytes(&value));
-    const bool inserted =
-        state.entries_.emplace(std::move(key), std::move(value)).second;
-    if (!inserted) {
+    if (state.Has(key)) {
       return Status::SerializationError("SessionState: duplicate key");
     }
+    state.Put(key, std::move(value));
   }
   if (!r.AtEnd()) {
     return Status::SerializationError("SessionState: trailing bytes");
@@ -219,27 +234,6 @@ void ProtocolSession::MeterCryptoOps(uint64_t ops) {
 
 // -- SessionOrchestrator ----------------------------------------------------
 
-SessionOrchestrator::Checkpoint SessionOrchestrator::Capture(
-    ProtocolSession& session, uint32_t stages_completed,
-    std::vector<uint64_t> stage_ops) {
-  Checkpoint cp;
-  cp.stages_completed = stages_completed;
-  cp.stage_ops = std::move(stage_ops);
-  for (PartyId party : session.parties_) {
-    cp.party_blobs.emplace_back(party, session.PartyState(party).Serialize());
-  }
-  return cp;
-}
-
-Status SessionOrchestrator::Restore(ProtocolSession& session,
-                                    const Checkpoint& checkpoint) {
-  for (const auto& [party, blob] : checkpoint.party_blobs) {
-    PSI_ASSIGN_OR_RETURN(session.states_[party],
-                         SessionState::Deserialize(blob));
-  }
-  return Status::OK();
-}
-
 Status SessionOrchestrator::ResumeHandshake(ProtocolSession& session,
                                             uint32_t attempt,
                                             uint32_t next_stage) {
@@ -336,7 +330,7 @@ Status SessionOrchestrator::Run(ProtocolSession* session) {
   Rng backoff_rng(policy_.seed);
   Network* net = session->network_;
 
-  const Checkpoint initial = Capture(*session, 0, {});
+  const Checkpoint initial{0, session->states_, {}};
   Checkpoint latest = initial;
   Status last_error = Status::OK();
   for (uint32_t attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
@@ -363,9 +357,7 @@ Status SessionOrchestrator::Run(ProtocolSession* session) {
 
       const Checkpoint& source =
           policy_.resume_from_checkpoint ? latest : initial;
-      // A checkpoint that fails to restore is terminal: retrying cannot
-      // repair durable storage.
-      PSI_RETURN_NOT_OK(Restore(*session, source));
+      session->states_ = source.states;
       start_stage = source.stages_completed;
       ledger = source.stage_ops;
       // Repair the transport's own plumbing first: on a socket backend this
@@ -411,14 +403,15 @@ Status SessionOrchestrator::Run(ProtocolSession* session) {
         break;
       }
       ledger.push_back(session->current_stage_ops_);
-      latest = Capture(*session, static_cast<uint32_t>(i) + 1, ledger);
+      Checkpoint next{static_cast<uint32_t>(i) + 1, session->states_, ledger};
+      for (const auto& [party, state] : next.states) {
+        stats_.checkpoint_bytes +=
+            state.ChangedSince(latest.states[party]).ByteSize();
+      }
+      latest = std::move(next);
       completed_high_water_ =
           std::max<uint32_t>(completed_high_water_, static_cast<uint32_t>(i) + 1);
       ++stats_.checkpoints_written;
-      for (const auto& [party, blob] : latest.party_blobs) {
-        (void)party;
-        stats_.checkpoint_bytes += blob.size();
-      }
     }
     if (stage_error.ok()) {
       // Fault layers can leave stale duplicates or just-released delayed

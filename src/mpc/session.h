@@ -2,12 +2,12 @@
 //
 // A ProtocolSession runs a protocol driver as a sequence of named stages.
 // After every completed stage the SessionOrchestrator captures a checkpoint:
-// each party's durable key/value SessionState. When a stage fails (a party
-// crashed mid-round, the channel could not be repaired, a peer sent
-// garbage), the orchestrator backs off a bounded, seeded number of rounds,
-// restores every party from the last checkpoint, performs a resume
-// handshake — re-synchronizing the per-channel envelope sequence counters
-// and draining stale mailboxes — and replays only the failed stage.
+// a snapshot of each party's durable key/value SessionState. When a stage
+// fails (a party crashed mid-round, the channel could not be repaired, a
+// peer sent garbage), the orchestrator backs off a bounded, seeded number
+// of rounds, restores every party from the last checkpoint, performs a
+// resume handshake — re-synchronizing the per-channel envelope sequence
+// counters and draining stale mailboxes — and replays only the failed stage.
 //
 // Randomness is a pure function of its coordinates. Registering a party's
 // Rng draws one 256-bit session key from it; a stage then draws from the
@@ -19,11 +19,11 @@
 // this). Nothing about randomness is checkpointed or rewound.
 //
 // Secrecy: checkpoints hold exactly what the parties already hold — key
-// material, masks, shares. They are process-local durable storage and
-// NEVER cross the wire; the only session traffic is the resume handshake,
-// whose payload is two public counters (attempt, next stage).
-// Checkpoint buffers are PSI_SECRET-annotated and psi_lint-audited
-// (docs/FAULTS.md has the full secrecy argument).
+// material, masks, shares. They are process-local snapshots and NEVER
+// cross the wire; the only session traffic is the resume handshake, whose
+// payload is two public counters (attempt, next stage). Checkpoint
+// snapshots are PSI_SECRET-annotated and psi_lint-audited (docs/FAULTS.md
+// has the full secrecy argument).
 
 #ifndef PSI_MPC_SESSION_H_
 #define PSI_MPC_SESSION_H_
@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <utility>
@@ -54,17 +55,20 @@ inline constexpr uint16_t kSessionStepResumeSync = 1;
 /// stage bodies and restored verbatim on recovery.
 ///
 /// Values are opaque to the session layer; stages encode them with the
-/// hardened mpc/wire.h codecs. Stage bodies routinely stash wire payloads
+/// hardened mpc/wire.h codecs. Values are immutable and shared, so a copy
+/// of a state is a snapshot. Stage bodies routinely stash wire payloads
 /// (ciphertexts, masked shares) here and re-send them on resume, so the
 /// store itself is not PSI_SECRET — the taint engine tracks the underlying
-/// plaintexts at their source instead. The durable serialized form IS
-/// sensitive (it can embed private keys and masks): Checkpoint's
-/// party_blobs carry the PSI_SECRET annotation and must only ever travel to
-/// durable storage, never to a peer.
+/// plaintexts at their source instead. Snapshots ARE sensitive (they can
+/// hold private keys and masks): Checkpoint snapshots carry the PSI_SECRET
+/// annotation and must never travel to a peer.
 class SessionState {
  public:
   /// \brief Inserts or overwrites the blob under `key`.
   void Put(const std::string& key, std::vector<uint8_t> value);
+
+  /// \brief Puts every entry of `entries`, sharing its values.
+  void PutAll(const SessionState& entries);
 
   /// \brief True if a blob is stored under `key`.
   bool Has(const std::string& key) const;
@@ -72,6 +76,10 @@ class SessionState {
   /// \brief The blob under `key`, or FailedPrecondition if absent (a stage
   /// reading state its predecessors never wrote is a driver bug).
   [[nodiscard]] Result<std::vector<uint8_t>> Get(const std::string& key) const;
+
+  /// \brief The entries whose value is not the same shared object as in
+  /// `before`: for a snapshot `before`, what was Put since.
+  SessionState ChangedSince(const SessionState& before) const;
 
   /// \brief Total stored bytes (keys + values).
   uint64_t ByteSize() const;
@@ -82,12 +90,12 @@ class SessionState {
 
   /// \brief Parses a Serialize() buffer. Returns SerializationError on a
   /// version mismatch, truncation, an oversized count, duplicate keys, or
-  /// trailing bytes — a damaged checkpoint is rejected, never half-loaded.
+  /// trailing bytes — a damaged buffer is rejected, never half-loaded.
   [[nodiscard]] static Result<SessionState> Deserialize(
       const std::vector<uint8_t>& buf);
 
  private:
-  std::map<std::string, std::vector<uint8_t>> entries_;
+  std::map<std::string, std::shared_ptr<const std::vector<uint8_t>>> entries_;
 };
 
 /// \brief Deterministic retry schedule for a session run.
@@ -119,7 +127,7 @@ struct SessionStats {
   uint64_t stages_run = 0;       ///< Stage executions, including replays.
   uint64_t stages_resumed = 0;   ///< Stage executions skipped via resume.
   uint64_t checkpoints_written = 0;
-  uint64_t checkpoint_bytes = 0;  ///< Serialized bytes across all writes.
+  uint64_t checkpoint_bytes = 0;  ///< Key+value bytes Put between captures.
   uint64_t backoff_rounds = 0;    ///< Rounds spent waiting before retries.
   uint64_t handshake_messages = 0;  ///< Resume sync frames (incl. repairs).
   uint64_t handshake_bytes = 0;     ///< Wire bytes of the above.
@@ -299,13 +307,12 @@ class SessionOrchestrator {
   }
 
  protected:
-  /// One full checkpoint: serialized party states + the
+  /// One checkpoint: a snapshot of every party's state plus the
   /// per-completed-stage crypto-op ledger. Holds key material and masks —
-  /// PSI_SECRET, durable-storage only.
+  /// PSI_SECRET, process-local only.
   struct Checkpoint {
     uint32_t stages_completed = 0;
-    PSI_SECRET std::vector<std::pair<PartyId, std::vector<uint8_t>>>
-        party_blobs;
+    PSI_SECRET std::map<PartyId, SessionState> states;
     std::vector<uint64_t> stage_ops;  ///< Ops metered per completed stage.
   };
 
@@ -316,11 +323,6 @@ class SessionOrchestrator {
   [[nodiscard]] virtual Status RunStage(ProtocolSession* session,
                                         size_t index);
 
-  [[nodiscard]] Checkpoint Capture(ProtocolSession& session,
-                                   uint32_t stages_completed,
-                                   std::vector<uint64_t> stage_ops);
-  [[nodiscard]] Status Restore(ProtocolSession& session,
-                               const Checkpoint& checkpoint);
   [[nodiscard]] Status ResumeHandshake(ProtocolSession& session,
                                        uint32_t attempt, uint32_t next_stage);
 

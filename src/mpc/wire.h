@@ -77,14 +77,15 @@ std::vector<uint8_t> PackRecords(const std::vector<ActionRecord>& records);
 // Remote stage execution (ProtocolId::kExec). An ExecRequest asks the daemon
 // hosting `party` to run one registered stage program against that party's
 // SessionState, with the stage's derived stream keys; the ExecResponse ships
-// the post-stage state back — the daemon-side checkpoint the host commits.
+// back the entries the stage wrote, which the host Puts into its copy.
 // Both codecs are versioned and follow the hardened decode discipline
 // (bounded counts, no trailing bytes): a daemon parses requests from the wire.
 // ---------------------------------------------------------------------------
 
 /// \brief Version tag of the exec request/response wire format. Decoders
-/// refuse any other version, including version 1's RNG-snapshot frames.
-inline constexpr uint32_t kExecWireVersion = 2;
+/// refuse any other: version 1 shipped RNG snapshots, and a version-2 host
+/// would replace its state with a version-3 result.
+inline constexpr uint32_t kExecWireVersion = 3;
 
 /// \brief Step tags of ProtocolId::kExec envelopes. The envelope `seq`
 /// field carries the stage index so late results of a timed-out call are
@@ -117,14 +118,14 @@ struct ExecRequest {
 
 /// \brief What happened to an ExecRequest.
 enum class ExecOutcome : uint8_t {
-  kOk = 0,           ///< Program ran; state_blob is the new checkpoint.
+  kOk = 0,           ///< Program ran; state_blob holds what it wrote.
   kNeedState = 1,    ///< Daemon holds no matching state; resend with it.
   kError = 2,        ///< Program ran and failed (message has the status).
   kUnsupported = 3,  ///< Program unknown to this daemon's registry.
 };
 
-/// \brief The daemon's answer: outcome plus, on kOk, the daemon-side
-/// checkpoint (post-stage party state, metered crypto ops).
+/// \brief The daemon's answer: outcome plus, on kOk, the entries the stage
+/// wrote (SessionState::ChangedSince) and its metered crypto ops.
 struct ExecResponse {
   ExecOutcome outcome = ExecOutcome::kError;
   std::string message;       ///< Error detail for kError / kUnsupported.

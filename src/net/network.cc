@@ -242,6 +242,9 @@ Result<std::vector<uint8_t>> Network::RecvValidated(PartyId to, PartyId from,
   int attempts = 0;
   int discards = 0;
   int retransmits = 0;
+  // Set when a frame fails to open: its pristine copy exists only at the
+  // sender, so the next empty-mailbox pass asks for it without waiting.
+  bool damaged = false;
   while (attempts < opts.max_attempts && discards < opts.max_discards) {
     if (deadline_ms != 0 && elapsed_ms() >= deadline_ms) {
       return Status::ProtocolError(
@@ -259,12 +262,14 @@ Result<std::vector<uint8_t>> Network::RecvValidated(PartyId to, PartyId from,
       ++attempts;
     } else {
       ++attempts;
-      uint64_t wait_budget_ms =
-          deadline_ms != 0 ? deadline_ms - elapsed_ms() : 0;
-      Status waited = WaitForPending(to, from, wait_budget_ms);
-      if (!waited.ok()) {
-        last_error = waited.message();
-        continue;
+      if (!damaged) {
+        uint64_t wait_budget_ms =
+            deadline_ms != 0 ? deadline_ms - elapsed_ms() : 0;
+        Status waited = WaitForPending(to, from, wait_budget_ms);
+        if (!waited.ok()) {
+          last_error = waited.message();
+          continue;
+        }
       }
       if (HasPending(to, from)) {
         PSI_ASSIGN_OR_RETURN(frame, Recv(to, from));
@@ -273,6 +278,7 @@ Result<std::vector<uint8_t>> Network::RecvValidated(PartyId to, PartyId from,
           break;  // Nothing pending and no budget left; keep last_error.
         }
         ++retransmits;
+        damaged = false;
         auto retry = RequestRetransmit(to, from, expected);
         if (!retry.ok()) {
           last_error = retry.status().message();
@@ -284,6 +290,7 @@ Result<std::vector<uint8_t>> Network::RecvValidated(PartyId to, PartyId from,
     auto env = OpenEnvelope(frame);
     if (!env.ok()) {
       last_error = env.status().message();
+      damaged = true;
       continue;
     }
     if (env->seq < expected) {

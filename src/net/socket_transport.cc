@@ -579,15 +579,9 @@ Status SocketNetwork::Reestablish() {
     for (int attempt = 0; attempt < config_.max_reconnect_attempts;
          ++attempt) {
       if (attempt > 0) {
-        // Deterministic seeded exponential backoff with jitter: attempt k
-        // sleeps min(base << k, max) plus a seeded draw in that same range.
-        const uint64_t exp =
-            config_.backoff_base_ms
-            << std::min(attempt, 20);  // Shift guard; attempts are small.
-        const uint64_t base = std::min(exp, config_.backoff_max_ms);
-        const uint64_t jitter = backoff_rng_.UniformU64(base > 0 ? base : 1);
-        stats_.backoff_sleep_ms += base + jitter;
-        SleepMs(base + jitter);
+        stats_.backoff_sleep_ms +=
+            SleepBackoffMs(config_.backoff_base_ms, config_.backoff_max_ms,
+                           static_cast<uint32_t>(attempt), &backoff_rng_);
       }
       ++stats_.reconnect_attempts;
       last = DialAndAuth(&link, /*resume=*/link.ever_connected);

@@ -8,6 +8,7 @@
 #include <time.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -108,6 +109,15 @@ uint64_t MonotonicMs() {
 
 void SleepMs(uint64_t ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(ms));
+}
+
+uint64_t SleepBackoffMs(uint64_t base_ms, uint64_t max_ms, uint32_t step,
+                        Rng* rng) {
+  const uint64_t delay =
+      std::min(base_ms << std::min<uint32_t>(step, 20), max_ms);
+  const uint64_t slept = delay + rng->UniformU64(delay > 0 ? delay : 1);
+  SleepMs(slept);
+  return slept;
 }
 
 Status SetNonBlocking(int fd) {

@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "common/status.h"
 
 namespace psi {
@@ -100,6 +101,13 @@ uint64_t MonotonicMs();
 
 /// \brief Sleeps the calling thread for `ms` milliseconds.
 void SleepMs(uint64_t ms);
+
+/// \brief Sleeps one step of seeded exponential backoff and returns the
+/// milliseconds slept: d = min(base_ms << step, max_ms) (the shift capped at
+/// 20) plus jitter drawn uniformly from [0, d) by one `rng` draw ([0, 1)
+/// when d is 0).
+uint64_t SleepBackoffMs(uint64_t base_ms, uint64_t max_ms, uint32_t step,
+                        Rng* rng);
 
 /// \brief Puts `fd` in non-blocking mode.
 [[nodiscard]] Status SetNonBlocking(int fd);

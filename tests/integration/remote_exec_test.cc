@@ -441,8 +441,8 @@ TEST(ExecWireTest, DecodersRejectMalformedFrames) {
   EXPECT_FALSE(wire::UnpackExecRequest(bad, &rq).ok());
 }
 
-// A version-1 request — RNG snapshots where version 2 has stage keys — is
-// refused with a clean Status naming both versions, never half-decoded.
+// A version-1 request — RNG snapshots where later versions have stage keys
+// — is refused with a clean Status naming both versions, never half-decoded.
 TEST(ExecWireTest, RejectsVersionOneRequests) {
   // Version, session, program, stage index, attempt, party, includes_state,
   // then one labelled 120-byte snapshot.
@@ -461,9 +461,35 @@ TEST(ExecWireTest, RejectsVersionOneRequests) {
   Status status = wire::UnpackExecRequest(w.TakeBuffer(), &req);
   ASSERT_FALSE(status.ok());
   EXPECT_EQ(status.code(), StatusCode::kSerializationError);
-  EXPECT_NE(status.message().find("unsupported version 1 (want 2)"),
+  EXPECT_NE(status.message().find("unsupported version 1 (want 3)"),
             std::string::npos)
       << status.message();
+}
+
+// Version 2 had today's layout, but its result carried the whole post-stage
+// state where version 3 carries only what the stage wrote: a version-2 host
+// would replace its state with the delta. Both directions refuse it.
+TEST(ExecWireTest, RejectsVersionTwoFrames) {
+  wire::ExecRequest req;
+  req.session = "p4";
+  req.program = "p4/counters";
+  wire::ExecResponse resp;
+  resp.outcome = wire::ExecOutcome::kOk;
+  resp.state_blob = {1, 2, 3};
+  std::vector<uint8_t> req_buf = wire::PackExecRequest(req);
+  std::vector<uint8_t> resp_buf = wire::PackExecResponse(resp);
+  req_buf[0] = 2;  // The little-endian u32 version.
+  resp_buf[0] = 2;
+  wire::ExecRequest rq;
+  wire::ExecResponse rs;
+  for (const Status& status : {wire::UnpackExecRequest(req_buf, &rq),
+                               wire::UnpackExecResponse(resp_buf, &rs)}) {
+    ASSERT_FALSE(status.ok());
+    EXPECT_EQ(status.code(), StatusCode::kSerializationError);
+    EXPECT_NE(status.message().find("unsupported version 2 (want 3)"),
+              std::string::npos)
+        << status.message();
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -516,6 +542,7 @@ TEST(StageExecutorTest, ExecutesCachesAndRestoresState) {
 
   SessionState initial;
   initial.Put("x", wire::PackU64s({41}));
+  initial.Put("y", {7});  // The program never touches it.
   wire::ExecRequest req;
   req.session = "unit";
   req.program = kTestProgram;
@@ -525,12 +552,13 @@ TEST(StageExecutorTest, ExecutesCachesAndRestoresState) {
   req.state_blob = initial.Serialize();
   req.rng_keys.push_back({77, 0, 0, 0, 0, 0, 0, 1});
 
-  // Fresh run: state installed, program executed, checkpoint returned.
+  // Fresh run: state installed, program executed, what it wrote returned.
   wire::ExecResponse first = OpenResult(executor.Handle(SealRequest(req)));
   ASSERT_EQ(first.outcome, wire::ExecOutcome::kOk);
   EXPECT_FALSE(first.from_cache);
   EXPECT_EQ(first.crypto_ops, 1u);
   auto after = SessionState::Deserialize(first.state_blob).ValueOrDie();
+  EXPECT_FALSE(after.Has("y"));
   std::vector<uint64_t> x;
   ASSERT_TRUE(wire::UnpackU64s(after.Get("x").ValueOrDie(), &x).ok());
   // The program drew from the stream the request's key starts.
@@ -541,7 +569,7 @@ TEST(StageExecutorTest, ExecutesCachesAndRestoresState) {
   EXPECT_EQ(executor.num_slots(), 1u);
 
   // Retry of the same stage (the answer was "lost"): served from cache,
-  // bitwise the same checkpoint, nothing recomputed.
+  // bitwise the same result, nothing recomputed.
   req.includes_state = false;
   req.state_blob.clear();
   req.attempt = 2;
@@ -549,6 +577,8 @@ TEST(StageExecutorTest, ExecutesCachesAndRestoresState) {
   ASSERT_EQ(retry.outcome, wire::ExecOutcome::kOk);
   EXPECT_TRUE(retry.from_cache);
   EXPECT_EQ(retry.state_blob, first.state_blob);
+  EXPECT_FALSE(
+      SessionState::Deserialize(retry.state_blob).ValueOrDie().Has("y"));
   EXPECT_EQ(executor.stats().executed, 1u);
   EXPECT_EQ(executor.stats().cache_hits, 1u);
 

@@ -82,6 +82,26 @@ TEST(Protocol4Test, CommunicationMatchesTable1Totals) {
   }
 }
 
+// Table 1's shape (m=3, n=200, |E|=1000, q=2000): a checkpoint shares the
+// values it snapshots, so the session checkpoints only what its stages
+// wrote — less than the frames it sends.
+TEST(Protocol4Test, PaperShapeSessionCheckpointsFewerBytesThanItSends) {
+  P4Fixture f(3, 200, 1000, 100);
+  Protocol4Config cfg;
+  cfg.h = 4;
+  cfg.obfuscation_factor = 2.0;
+  cfg.aggregation = P4Aggregation::kSecureSum;
+  LinkInfluenceProtocol proto(&f.net, f.host, f.providers, cfg);
+  SessionStats stats;
+  ASSERT_TRUE(proto.RunSession(*f.graph, 100, f.provider_logs,
+                               f.host_rng.get(), f.RngPtrs(),
+                               f.pair_secret.get(), RetryPolicy{}, &stats)
+                  .ok());
+  EXPECT_EQ(proto.views().omega.size(), 2000u);
+  EXPECT_GT(stats.checkpoint_bytes, 0u);
+  EXPECT_LE(stats.checkpoint_bytes, f.net.Report().num_bytes);
+}
+
 TEST(Protocol4Test, WeightedVariantMatchesPlaintextEq2) {
   P4Fixture f(3, 30, 150, 50);
   Protocol4Config cfg;

@@ -123,8 +123,12 @@ TEST(SessionOrchestratorTest, RunsAllStagesOnceWhenNothingFails) {
   TestWorld w;
   ProtocolSession session("t", &w.net, {w.alice, w.bob});
   int runs = 0;
+  // Staged before the run: the initial checkpoint holds it, so no
+  // checkpoint counts it.
+  session.PartyState(w.bob).Put("input", Bytes({9, 9, 9, 9}));
   session.AddStage("one", [&] {
     ++runs;
+    session.PartyState(w.alice).Put("x", Bytes({1, 2, 3}));
     return Status::OK();
   });
   session.AddStage("two", [&] {
@@ -140,6 +144,9 @@ TEST(SessionOrchestratorTest, RunsAllStagesOnceWhenNothingFails) {
   EXPECT_EQ(stats.stages_run, 2u);
   EXPECT_EQ(stats.stages_resumed, 0u);
   EXPECT_EQ(stats.checkpoints_written, 2u);
+  // Key + value bytes Put since the previous capture: "x" and its three
+  // bytes from stage one, nothing from stage two, which wrote nothing.
+  EXPECT_EQ(stats.checkpoint_bytes, 4u);
   EXPECT_EQ(stats.handshake_messages, 0u);
   EXPECT_EQ(stats.backoff_rounds, 0u);
   EXPECT_EQ(w.net.PendingCount(), 0u);
