@@ -3,8 +3,9 @@
 // BigUInt path (ScopedHeapOnlyModPow / EngineMode::kHeapOnly) in the same
 // run, so `tools/check_bench.py bigint` can gate on machine-independent
 // same-run ratios. BM_RsaDecryptBatch / BM_RsaDecryptLoop pair the batched
-// RSA-CRT path with per-ciphertext calls the same way. BENCH_bigint.json is
-// the committed baseline.
+// RSA-CRT path with per-ciphertext calls the same way; RsaDecrypt is itself
+// a batch of one, so the pair measures what eight lanes per kernel walk buy
+// over one. BENCH_bigint.json is the committed baseline.
 
 #include <benchmark/benchmark.h>
 
@@ -123,7 +124,8 @@ BENCHMARK(BM_PaillierEncryptHeap)->Arg(512)->Arg(1024);
 // Arg is the RSA modulus size z; the CRT halves are z/2 bits, the 4- and
 // 8-limb widths the IFMA batch kernel serves. Each iteration decrypts the
 // same 64 ciphertexts, either with one RsaDecryptBatch call or with 64
-// RsaDecrypt calls, so the pair's time ratio is the per-ciphertext gain.
+// RsaDecrypt calls (each a batch of one), so the pair's time ratio is the
+// per-ciphertext gain of filling the kernel's lanes.
 // The pool is pinned to one thread: the ratio measures the kernel, not
 // the fan-out (and cpu_time sees only the calling thread).
 constexpr size_t kRsaBenchCiphertexts = 64;

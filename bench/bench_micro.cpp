@@ -27,6 +27,8 @@
 #include "mpc/homomorphic_sum.h"
 #include "mpc/link_influence_protocol.h"
 #include "mpc/secure_sum.h"
+#include "mpc/session.h"
+#include "mpc/wire.h"
 
 namespace psi {
 namespace {
@@ -468,6 +470,54 @@ BENCHMARK(BM_ComputeCounters)
     ->Args({200, 1600, 200, 0})
     ->Args({1000, 8000, 200, 0})
     ->Args({200, 1000, 100, 2000});  // p4_paper's shape (Table 1).
+
+// Protocol 4's per-provider counter stage as a session runs it, at
+// p4_paper's shape (n = 200, |E| = 1000, |A| = 100, three providers,
+// q = 2000, h = 4): each iteration runs the registered p4/counters program
+// once per provider over a state holding its staged exec.log bytes, so it
+// times the decode and the per-stage index build that BM_ComputeCounters,
+// reusing one long-lived log, leaves out.
+void BM_ProviderCountersStage(benchmark::State& state) {
+  RegisterLinkInfluenceStagePrograms();
+  constexpr uint64_t kUsers = 200;
+  Rng rng(12);
+  auto graph = ErdosRenyiArcs(&rng, kUsers, 1000).ValueOrDie();
+  auto truth = GroundTruthInfluence::Random(&rng, graph, 0.05, 0.6);
+  CascadeParams params;
+  params.num_actions = 100;
+  params.seeds_per_action = 2;
+  auto log = GenerateCascades(&rng, graph, truth, params).ValueOrDie();
+  auto provider_logs = ExclusivePartition(&rng, log, 3).ValueOrDie();
+  auto omega = ObfuscateArcSet(&rng, graph, 2.0).ValueOrDie();
+  // The state keys Protocol 4 stages for each provider before a session.
+  BinaryWriter cfg;
+  cfg.WriteU64(kUsers);
+  cfg.WriteU64(4);        // h
+  cfg.WriteU64(1 << 16);  // weight scale
+  cfg.WriteU8(0);         // Eq. 1
+  const std::vector<uint8_t> cfg_buf = cfg.TakeBuffer();
+  std::vector<SessionState> staged(provider_logs.size());
+  for (size_t k = 0; k < staged.size(); ++k) {
+    staged[k].Put("exec.cfg", cfg_buf);
+    staged[k].Put("omega", wire::PackArcs(omega));
+    StageProviderLog(provider_logs[k], &staged[k]);
+  }
+  for (auto _ : state) {
+    for (const SessionState& st : staged) {
+      SessionState run = st;
+      StageProgramContext ctx;
+      ctx.state = &run;
+      if (!StageProgramRegistry::Global().Run("p4/counters", &ctx).ok()) {
+        state.SkipWithError("p4/counters failed");
+        return;
+      }
+      benchmark::DoNotOptimize(run);
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(staged.size() * omega.size()));
+}
+BENCHMARK(BM_ProviderCountersStage);
 
 void BM_UserScores(benchmark::State& state) {
   Rng rng(11);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <span>
 
 #include "common/logging.h"
@@ -17,63 +18,97 @@ std::vector<uint64_t> ComputeActionCounts(const ActionLog& log,
   return a;
 }
 
-namespace {
-
-// The same log with its action ids replaced by their ranks. Counters only
-// compare the times two users recorded for the same action, so they do not
-// depend on the labels.
-ActionLog WithDenseActionIds(const ActionLog& log) {
-  std::vector<ActionId> ids;
-  ids.reserve(log.size());
-  for (const auto& r : log.records()) ids.push_back(r.action);
-  std::sort(ids.begin(), ids.end());
-  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-  ActionLog dense;
-  for (auto r : log.records()) {
-    r.action = static_cast<ActionId>(
-        std::lower_bound(ids.begin(), ids.end(), r.action) - ids.begin());
-    dense.Add(r);
+std::vector<uint64_t> ComputeActionCounts(const UserActionIndex& index) {
+  std::vector<uint64_t> a(index.num_users());
+  for (size_t u = 0; u < a.size(); ++u) {
+    a[u] = index.Run(static_cast<NodeId>(u)).size();
   }
-  return dense;
+  return a;
 }
+
+namespace {
 
 // Calls visit(p, tj - ti, hit) for every action pairs[p].to performed (at
 // tj); hit says pairs[p].from performed it too, at ti < tj with
-// tj - ti <= h, and the delay is meaningful only then. The from user's times
-// are scattered into scratch arrays indexed by action id, reused while
-// consecutive pairs share `from`; the to user's entries are looked up in
-// them. Whether `to` followed is data-dependent, so hit is computed without
-// branches, and tj - ti is only trusted once tj > ti. ActionId is dense, so
-// the arrays have one slot per id; a log whose largest id is far above its
-// record count is relabelled first so they stay O(records).
+// tj - ti <= h, and the delay is meaningful only then. Pairs are visited
+// grouped by `from` (a stable counting sort of their indices; a pair whose
+// `from` is >= n has no hit and is skipped), and each from user's times are
+// scattered once into a scratch array indexed by action id, where the to
+// user's entries look them up. Actions the from user never performed hold
+// UINT64_MAX, which no tj exceeds. Whether `to` followed is data-dependent,
+// so hit is computed without branches, and tj - ti is only trusted once
+// tj > ti. The array has one slot per action id; an index whose largest id
+// is far above its entry count is relabelled first so it stays O(entries).
 template <typename Visit>
-void ForEachFollow(const ActionLog& log, const std::vector<Arc>& pairs,
+void ForEachFollow(const UserActionIndex& index, const std::vector<Arc>& pairs,
                    uint64_t h, Visit visit) {
-  size_t slots = 0;
-  for (const auto& r : log.records()) {
-    slots = std::max(slots, static_cast<size_t>(r.action) + 1);
-  }
-  if (slots > 4 * log.size() + 4096) {
-    ForEachFollow(WithDenseActionIds(log), pairs, h, visit);
+  const size_t slots = index.ActionIdBound();
+  if (slots > 4 * index.size() + 4096) {
+    ForEachFollow(index.WithDenseActionIds(), pairs, h, visit);
     return;
   }
-  std::vector<uint64_t> from_time(slots);
-  std::vector<uint8_t> from_has(slots, 0);
-  std::span<const ActionTime> from_actions;
+  const size_t n = index.num_users();
+  std::vector<size_t> group(n + 1, 0);
+  for (const Arc& arc : pairs) {
+    if (arc.from < n) ++group[arc.from + 1];
+  }
+  for (size_t u = 0; u < n; ++u) group[u + 1] += group[u];
+  std::vector<size_t> order(group[n]);
   for (size_t p = 0; p < pairs.size(); ++p) {
-    if (p == 0 || pairs[p].from != pairs[p - 1].from) {
-      for (const auto& e : from_actions) from_has[e.action] = 0;
-      from_actions = log.UserIndex(pairs[p].from);
-      for (const auto& e : from_actions) {
-        from_time[e.action] = e.time;
-        from_has[e.action] = 1;
-      }
+    if (pairs[p].from < n) order[group[pairs[p].from]++] = p;
+  }
+
+  constexpr uint64_t kNever = std::numeric_limits<uint64_t>::max();
+  std::vector<uint64_t> from_time(slots, kNever);
+  std::span<const ActionTime> from_actions;
+  for (size_t k = 0; k < order.size(); ++k) {
+    const size_t p = order[k];
+    if (k == 0 || pairs[p].from != pairs[order[k - 1]].from) {
+      for (const auto& e : from_actions) from_time[e.action] = kNever;
+      from_actions = index.Run(pairs[p].from);
+      for (const auto& e : from_actions) from_time[e.action] = e.time;
     }
-    for (const auto& [action, tj] : log.UserIndex(pairs[p].to)) {
+    for (const auto& [action, tj] : index.Run(pairs[p].to)) {
       const uint64_t ti = from_time[action];
-      visit(p, tj - ti, (from_has[action] != 0) & (tj > ti) & (tj - ti <= h));
+      visit(p, tj - ti, (tj > ti) & (tj - ti <= h));
     }
   }
+}
+
+// An index of `log` over every user `*pairs` names, which may be any
+// NodeId. It covers users [0, largest endpoint], unless the endpoints are
+// sparse, far above the record and pair counts: then they are replaced, in
+// *pairs and in the records, by their ranks among the endpoints, so the
+// index stays O(records + pairs).
+UserActionIndex IndexForPairs(const ActionLog& log, std::vector<Arc>* pairs) {
+  size_t n = 0;
+  for (const Arc& arc : *pairs) {
+    n = std::max({n, static_cast<size_t>(arc.from) + 1,
+                  static_cast<size_t>(arc.to) + 1});
+  }
+  if (n <= 4 * (log.size() + pairs->size()) + 4096) {
+    return UserActionIndex(log.records(), n);
+  }
+  std::vector<NodeId> ids;
+  ids.reserve(2 * pairs->size());
+  for (const Arc& arc : *pairs) {
+    ids.push_back(arc.from);
+    ids.push_back(arc.to);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  const auto rank = [&ids](NodeId user) {
+    return static_cast<NodeId>(
+        std::lower_bound(ids.begin(), ids.end(), user) - ids.begin());
+  };
+  for (Arc& arc : *pairs) arc = {rank(arc.from), rank(arc.to)};
+  std::vector<ActionRecord> records;
+  for (const auto& r : log.records()) {
+    if (std::binary_search(ids.begin(), ids.end(), r.user)) {
+      records.push_back({rank(r.user), r.action, r.time});
+    }
+  }
+  return UserActionIndex(records, ids.size());
 }
 
 }  // namespace
@@ -81,17 +116,32 @@ void ForEachFollow(const ActionLog& log, const std::vector<Arc>& pairs,
 std::vector<uint64_t> ComputeFollowCounts(const ActionLog& log,
                                           const std::vector<Arc>& pairs,
                                           uint64_t h) {
+  std::vector<Arc> indexed_pairs = pairs;
+  const UserActionIndex index = IndexForPairs(log, &indexed_pairs);
+  return ComputeFollowCounts(index, indexed_pairs, h);
+}
+
+std::vector<uint64_t> ComputeFollowCounts(const UserActionIndex& index,
+                                          const std::vector<Arc>& pairs,
+                                          uint64_t h) {
   std::vector<uint64_t> b(pairs.size(), 0);
-  ForEachFollow(log, pairs, h,
+  ForEachFollow(index, pairs, h,
                 [&b](size_t p, uint64_t, bool hit) { b[p] += hit; });
   return b;
 }
 
 std::vector<std::vector<uint64_t>> ComputeExactDelayCounts(
     const ActionLog& log, const std::vector<Arc>& pairs, uint64_t h) {
+  std::vector<Arc> indexed_pairs = pairs;
+  const UserActionIndex index = IndexForPairs(log, &indexed_pairs);
+  return ComputeExactDelayCounts(index, indexed_pairs, h);
+}
+
+std::vector<std::vector<uint64_t>> ComputeExactDelayCounts(
+    const UserActionIndex& index, const std::vector<Arc>& pairs, uint64_t h) {
   std::vector<std::vector<uint64_t>> c(pairs.size(),
                                        std::vector<uint64_t>(h, 0));
-  ForEachFollow(log, pairs, h,
+  ForEachFollow(index, pairs, h,
                 [&c](size_t p, uint64_t delay, bool hit) {
                   if (hit) ++c[p][delay - 1];
                 });

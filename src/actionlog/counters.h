@@ -7,6 +7,12 @@
 // Convention (see DESIGN.md): "followed within h" means t_i < t_j <= t_i + h,
 // strictly after (Definition 3.1 requires Delta t > 0). These satisfy
 // b^h_ij = sum_{l=1..h} c^l_ij, which the property tests assert.
+//
+// The counters read a UserActionIndex over users [0, n); a provider builds
+// one from its records per stage. The ActionLog overloads build that index
+// themselves, over every user the pairs name, so they count for any NodeId.
+// Pairs are visited grouped by `from`, each user's times scattered once;
+// Omega is public to the providers, so the visiting order leaks nothing.
 
 #ifndef PSI_ACTIONLOG_COUNTERS_H_
 #define PSI_ACTIONLOG_COUNTERS_H_
@@ -24,8 +30,16 @@ namespace psi {
 std::vector<uint64_t> ComputeActionCounts(const ActionLog& log,
                                           size_t num_users);
 
+/// \brief a_i for every user of the index: its run lengths.
+std::vector<uint64_t> ComputeActionCounts(const UserActionIndex& index);
+
 /// \brief b^h_ij for each requested (i, j) pair, in pair order.
 std::vector<uint64_t> ComputeFollowCounts(const ActionLog& log,
+                                          const std::vector<Arc>& pairs,
+                                          uint64_t h);
+
+/// \brief b^h_ij over the index: a pair with an endpoint >= n counts 0.
+std::vector<uint64_t> ComputeFollowCounts(const UserActionIndex& index,
                                           const std::vector<Arc>& pairs,
                                           uint64_t h);
 
@@ -33,6 +47,10 @@ std::vector<uint64_t> ComputeFollowCounts(const ActionLog& log,
 /// the exact-delay-l count of pair p.
 std::vector<std::vector<uint64_t>> ComputeExactDelayCounts(
     const ActionLog& log, const std::vector<Arc>& pairs, uint64_t h);
+
+/// \brief c^l_ij over the index: a pair with an endpoint >= n counts 0.
+std::vector<std::vector<uint64_t>> ComputeExactDelayCounts(
+    const UserActionIndex& index, const std::vector<Arc>& pairs, uint64_t h);
 
 /// \brief Temporal weights w_1..w_h for the Eq. (2) influence definition.
 /// The paper constrains 0 < w_l and sum w_l = h (Eq. 1 is w_l = 1).

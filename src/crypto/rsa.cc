@@ -78,13 +78,9 @@ Result<BigUInt> RsaEncrypt(const RsaPublicKey& key, const BigUInt& m) {
 }
 
 Result<BigUInt> RsaDecrypt(const RsaPrivateKey& key, const BigUInt& c) {
-  if (c >= key.n) return Status::InvalidArgument("RSA ciphertext >= modulus");
-  // CRT: m_p = c^dP mod p, m_q = c^dQ mod q, recombine via Garner.
-  // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
-  BigUInt m_p = ModPow(c % key.p, key.d_mod_p1, key.p);
-  // psi-lint: allow(secret-flow) CRT decryption at the key owner; DESIGN.md's simulated network carries no timing channel
-  BigUInt m_q = ModPow(c % key.q, key.d_mod_q1, key.q);
-  return CrtCombine(key, m_p, m_q);
+  PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> m,
+                       RsaDecryptBatch(key, std::span<const BigUInt>(&c, 1)));
+  return std::move(m[0]);
 }
 
 Result<std::vector<BigUInt>> RsaEncryptBatch(

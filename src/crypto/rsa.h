@@ -63,7 +63,8 @@ struct RsaKeyPair {
 /// \brief c = m^e mod n. Requires m < n.
 [[nodiscard]] Result<BigUInt> RsaEncrypt(const RsaPublicKey& key, const BigUInt& m);
 
-/// \brief m = c^d mod n via CRT. Requires c < n.
+/// \brief m = c^d mod n via CRT: RsaDecryptBatch of the one ciphertext.
+/// Requires c < n.
 [[nodiscard]] Result<BigUInt> RsaDecrypt(const RsaPrivateKey& key, const BigUInt& c);
 
 /// \brief RsaEncrypt of every plaintext: index-aligned, bit-for-bit the
@@ -79,8 +80,7 @@ struct RsaKeyPair {
 /// eight walks dP mod p and dQ mod q in one kernel pass and splits and
 /// recombines on fixed limbs; otherwise it makes one shared-exponent
 /// ModPowBatch per half, then Garner per element. A ciphertext >= n fails
-/// the call with RsaDecrypt's error; the lowest such index is the one
-/// reported.
+/// the call with InvalidArgument.
 [[nodiscard]] Result<std::vector<BigUInt>> RsaDecryptBatch(
     const RsaPrivateKey& key, std::span<const BigUInt> ciphertexts);
 

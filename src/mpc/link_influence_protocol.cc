@@ -83,12 +83,13 @@ constexpr char kProgramCounters[] = "p4/counters";
     PSI_ASSIGN_OR_RETURN(const auto buf, st.Get(kKeyOmega));
     PSI_RETURN_NOT_OK(wire::UnpackArcs(buf, &provider_omega));
   }
-  PSI_ASSIGN_OR_RETURN(const ActionLog log, LoadProviderLog(st));
+  PSI_ASSIGN_OR_RETURN(const std::vector<ActionRecord> records,
+                       LoadProviderLog(st));
 
-  PSI_ASSIGN_OR_RETURN(std::vector<uint64_t> counters,
-                       ComputeProviderCounterVector(log, num_users,
-                                                    provider_omega, cfg,
-                                                    /*extra=*/nullptr));
+  PSI_ASSIGN_OR_RETURN(
+      std::vector<uint64_t> counters,
+      ComputeProviderCounterVector(UserActionIndex(records, num_users),
+                                   provider_omega, cfg));
   st.Put(kKeyCounters, wire::PackU64s(counters));
   return Status::OK();
 }
@@ -117,11 +118,19 @@ uint64_t AggregatedClassCounters::FollowCount(NodeId i, NodeId j,
 Result<std::vector<uint64_t>> ComputeProviderCounterVector(
     const ActionLog& log, size_t num_users, const std::vector<Arc>& pairs,
     const Protocol4Config& config, const AggregatedClassCounters* extra) {
+  return ComputeProviderCounterVector(UserActionIndex(log.records(), num_users),
+                                      pairs, config, extra);
+}
+
+Result<std::vector<uint64_t>> ComputeProviderCounterVector(
+    const UserActionIndex& index, const std::vector<Arc>& pairs,
+    const Protocol4Config& config, const AggregatedClassCounters* extra) {
+  const size_t num_users = index.num_users();
   std::vector<uint64_t> counters;
   counters.reserve(num_users + pairs.size());
 
   // Denominator block: a_i.
-  auto a = ComputeActionCounts(log, num_users);
+  auto a = ComputeActionCounts(index);
   if (extra != nullptr) {
     if (extra->a.size() != num_users) {
       return Status::InvalidArgument("extra counters sized for wrong n");
@@ -132,7 +141,7 @@ Result<std::vector<uint64_t>> ComputeProviderCounterVector(
 
   // Numerator block: b^h_ij (Eq. 1) or scaled sum_l W_l c^l_ij (Eq. 2).
   if (!config.weights.has_value()) {
-    auto b = ComputeFollowCounts(log, pairs, config.h);
+    auto b = ComputeFollowCounts(index, pairs, config.h);
     if (extra != nullptr) {
       for (size_t p = 0; p < pairs.size(); ++p) {
         b[p] += extra->FollowCount(pairs[p].from, pairs[p].to, config.h);
@@ -145,7 +154,7 @@ Result<std::vector<uint64_t>> ComputeProviderCounterVector(
       return Status::InvalidArgument("weights length must equal h");
     }
     auto scaled = weights.Scaled(config.weight_scale);
-    auto c = ComputeExactDelayCounts(log, pairs, config.h);
+    auto c = ComputeExactDelayCounts(index, pairs, config.h);
     for (size_t p = 0; p < pairs.size(); ++p) {
       uint64_t sum = 0;
       for (uint64_t l = 0; l < config.h; ++l) {
@@ -194,13 +203,11 @@ void StageProviderLog(const ActionLog& log, SessionState* state) {
   state->Put(kKeyExecLog, wire::PackRecords(log.records()));
 }
 
-Result<ActionLog> LoadProviderLog(const SessionState& state) {
+Result<std::vector<ActionRecord>> LoadProviderLog(const SessionState& state) {
   PSI_ASSIGN_OR_RETURN(const auto buf, state.Get(kKeyExecLog));
   std::vector<ActionRecord> records;
   PSI_RETURN_NOT_OK(wire::UnpackRecords(buf, &records));
-  ActionLog log;
-  for (const ActionRecord& rec : records) log.Add(rec);
-  return log;
+  return records;
 }
 
 BigUInt CounterBound(const Protocol4Config& config, uint64_t num_actions_public) {

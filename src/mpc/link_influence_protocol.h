@@ -106,7 +106,15 @@ struct Protocol4Views {
 };
 
 /// \brief The counter vector one provider contributes to the batched secure
-/// sum: [a_0..a_{n-1}, numerator(pair_0)..numerator(pair_{q-1})].
+/// sum: [a_0..a_{n-1}, numerator(pair_0)..numerator(pair_{q-1})], with
+/// n = index.num_users(). A pair with an endpoint >= n counts 0 from the
+/// index (`extra` still adds its aggregates).
+[[nodiscard]] Result<std::vector<uint64_t>> ComputeProviderCounterVector(
+    const UserActionIndex& index, const std::vector<Arc>& pairs,
+    const Protocol4Config& config,
+    const AggregatedClassCounters* extra = nullptr);
+
+/// \brief The same over `log`, indexed over users [0, num_users).
 [[nodiscard]] Result<std::vector<uint64_t>> ComputeProviderCounterVector(
     const ActionLog& log, size_t num_users, const std::vector<Arc>& pairs,
     const Protocol4Config& config,
@@ -136,9 +144,11 @@ struct ReceivedOmega {
     const std::vector<uint8_t>& packed_omega, size_t n);
 
 /// \brief Stages a provider's log in its `state` before the session runs
-/// (Protocols 4 and 6); LoadProviderLog reads it back in a stage program.
+/// (Protocols 4 and 6); LoadProviderLog decodes its records back in a stage
+/// program, which indexes them (UserActionIndex) without an ActionLog.
 void StageProviderLog(const ActionLog& log, SessionState* state);
-[[nodiscard]] Result<ActionLog> LoadProviderLog(const SessionState& state);
+[[nodiscard]] Result<std::vector<ActionRecord>> LoadProviderLog(
+    const SessionState& state);
 
 /// \brief The public counter bound A of Protocol 2: |A| actions, times the
 /// weight-scale ceiling for the Eq. (2) variant.

@@ -4,7 +4,6 @@
 #include <mutex>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "common/annotations.h"
 #include "common/serialize.h"
@@ -277,24 +276,34 @@ constexpr uint8_t kModePacked = 2;
   }
   const PackingCodec* codec_ptr = codec.has_value() ? &*codec : nullptr;
 
-  PSI_ASSIGN_OR_RETURN(const ActionLog log, LoadProviderLog(st));
+  PSI_ASSIGN_OR_RETURN(const std::vector<ActionRecord> records,
+                       LoadProviderLog(st));
+  // Only the users Omega names are ever looked up. PublishOmega checked its
+  // endpoints against the host graph's n, so the index is O(records + n).
+  size_t omega_users = 0;
+  for (const Arc& arc : provider_omega) {
+    omega_users = std::max({omega_users, static_cast<size_t>(arc.from) + 1,
+                            static_cast<size_t>(arc.to) + 1});
+  }
+  const UserActionIndex index(records, omega_users);
 
   BinaryWriter w;
   uint64_t ops = 0;
   // Actions controlled by this provider: those appearing in its log
-  // (exclusive case).
-  std::unordered_set<ActionId> owned;
-  for (const auto& rec : log.records()) owned.insert(rec.action);
-  std::vector<ActionId> owned_sorted(owned.begin(), owned.end());
-  std::sort(owned_sorted.begin(), owned_sorted.end());
-  w.WriteVarU64(owned_sorted.size());
-  for (ActionId action : owned_sorted) {
+  // (exclusive case), whoever performed them.
+  std::vector<ActionId> owned;
+  owned.reserve(records.size());
+  for (const auto& rec : records) owned.push_back(rec.action);
+  std::sort(owned.begin(), owned.end());
+  owned.erase(std::unique(owned.begin(), owned.end()), owned.end());
+  w.WriteVarU64(owned.size());
+  for (ActionId action : owned) {
     std::vector<uint64_t> delta(provider_omega.size(), 0);
     for (size_t p = 0; p < provider_omega.size(); ++p) {
       const Arc& arc = provider_omega[p];
       uint64_t ti, tj;
-      if (log.Lookup(arc.from, action, &ti) &&
-          log.Lookup(arc.to, action, &tj) && tj > ti) {
+      if (index.Lookup(arc.from, action, &ti) &&
+          index.Lookup(arc.to, action, &tj) && tj > ti) {
         delta[p] = tj - ti;
       }
     }

@@ -4,10 +4,13 @@
 
 #include <limits>
 #include <map>
+#include <set>
+#include <string>
 #include <utility>
 
 #include "actionlog/generator.h"
 #include "graph/generators.h"
+#include "mpc/link_influence_protocol.h"
 
 namespace psi {
 namespace {
@@ -226,6 +229,98 @@ TEST(CountersTest, RandomizedCountsMatchBruteForce) {
     for (uint64_t h : {kMax - 1, kMax}) {
       const auto ref = BruteForceCounts(raw, pairs, h, 0);
       ASSERT_EQ(ComputeFollowCounts(log, pairs, h), ref.follow)
+          << "trial " << trial << " h " << h;
+    }
+  }
+}
+
+// A provider's stage path, records -> UserActionIndex over [0, n) ->
+// counter vector, against ComputeProviderCounterVector over an Add-built
+// ActionLog and against BruteForceCounts over the records of users < n,
+// for Eq. 1 and Eq. 2's weighted numerators. The records repeat (user,
+// action) pairs with the later copy earlier, name users >= n and near
+// UINT32_MAX, and in half the trials use action ids up to UINT32_MAX; the
+// pairs name endpoints >= n and near UINT32_MAX and include from == to.
+// The first trial's log is empty. The ActionLog overloads, which count for
+// every user the pairs name, are checked against the unfiltered records.
+TEST(CountersTest, IndexCounterVectorMatchesLogAndBruteForce) {
+  constexpr NodeId kMaxUser = std::numeric_limits<NodeId>::max();
+  constexpr ActionId kMaxAction = std::numeric_limits<ActionId>::max();
+  Rng rng(46);
+  for (int trial = 0; trial < 80; ++trial) {
+    const NodeId n = 1 + static_cast<NodeId>(rng.NextU64() % 12);
+    const bool sparse_actions = trial % 2 == 1;
+    const auto user = [&rng, n]() {
+      return rng.NextU64() % 8 == 0
+                 ? kMaxUser - static_cast<NodeId>(rng.NextU64() % 3)
+                 : static_cast<NodeId>(rng.NextU64() % (n + 3));
+    };
+    std::vector<ActionRecord> raw;
+    const size_t records = trial == 0 ? 0 : rng.NextU64() % 120;
+    for (size_t k = 0; k < records; ++k) {
+      const auto a = static_cast<ActionId>(rng.NextU64() % 15);
+      raw.push_back({user(), sparse_actions ? kMaxAction - a * 65537 : a,
+                     20 + rng.NextU64() % 30});
+      if (rng.NextU64() % 4 == 0) {
+        raw.push_back({raw.back().user, raw.back().action,
+                       raw.back().time - 1 - rng.NextU64() % 20});
+      }
+    }
+    std::vector<Arc> pairs;
+    const size_t num_pairs = rng.NextU64() % 40;
+    for (size_t k = 0; k < num_pairs; ++k) {
+      const NodeId from = user();
+      pairs.push_back({from, rng.NextU64() % 5 == 0 ? from : user()});
+    }
+    ActionLog log;
+    for (const auto& r : raw) log.Add(r);
+    std::vector<ActionRecord> in_range;
+    for (const auto& r : raw) {
+      if (r.user < n) in_range.push_back(r);
+    }
+    std::set<std::pair<NodeId, ActionId>> performed;
+    for (const auto& r : in_range) performed.insert({r.user, r.action});
+    std::vector<uint64_t> want_a(n, 0);
+    for (const auto& [u, a] : performed) ++want_a[u];
+
+    const UserActionIndex index(raw, n);
+    EXPECT_EQ(ComputeActionCounts(index), want_a) << "trial " << trial;
+    for (uint64_t h : {uint64_t{1}, uint64_t{4}, uint64_t{9}}) {
+      const auto ref = BruteForceCounts(in_range, pairs, h, h);
+      Protocol4Config eq1;
+      eq1.h = h;
+      Protocol4Config eq2 = eq1;
+      eq2.weights = TemporalWeights::LinearDecay(h);
+      for (const Protocol4Config& cfg : {eq1, eq2}) {
+        std::vector<uint64_t> want = want_a;
+        const auto scaled = cfg.weights.has_value()
+                                ? cfg.weights->Scaled(cfg.weight_scale)
+                                : std::vector<uint64_t>();
+        for (size_t p = 0; p < pairs.size(); ++p) {
+          uint64_t numerator = ref.follow[p];
+          if (cfg.weights.has_value()) {
+            numerator = 0;
+            for (uint64_t l = 0; l < h; ++l) {
+              numerator += scaled[l] * ref.exact[p][l];
+            }
+          }
+          want.push_back(numerator);
+        }
+        const std::string where = "trial " + std::to_string(trial) + " h " +
+                                  std::to_string(h) +
+                                  (cfg.weights.has_value() ? " eq2" : " eq1");
+        ASSERT_EQ(ComputeProviderCounterVector(index, pairs, cfg).ValueOrDie(),
+                  want)
+            << where;
+        ASSERT_EQ(
+            ComputeProviderCounterVector(log, n, pairs, cfg).ValueOrDie(),
+            want)
+            << where;
+      }
+      const auto unfiltered = BruteForceCounts(raw, pairs, h, h);
+      ASSERT_EQ(ComputeFollowCounts(log, pairs, h), unfiltered.follow)
+          << "trial " << trial << " h " << h;
+      ASSERT_EQ(ComputeExactDelayCounts(log, pairs, h), unfiltered.exact)
           << "trial " << trial << " h " << h;
     }
   }

@@ -612,6 +612,65 @@ TEST(StageExecutorTest, MalformedRequestGetsWellFormedError) {
   EXPECT_EQ(executor.num_slots(), 0u);
 }
 
+// p4/counters decodes its staged log with the wire codec's checks before
+// indexing it: a truncated log, one with trailing bytes and one whose record
+// count runs past the buffer each fail the program with a
+// SerializationError, which the executor answers as kError naming it.
+TEST(StageExecutorTest, MalformedStagedLogFailsCountersCleanly) {
+  RegisterLinkInfluenceStagePrograms();
+  SessionState good;
+  BinaryWriter cfg;
+  cfg.WriteU64(4);        // n
+  cfg.WriteU64(2);        // h
+  cfg.WriteU64(1 << 16);  // weight scale
+  cfg.WriteU8(0);         // Eq. 1: no weights
+  good.Put("exec.cfg", cfg.TakeBuffer());
+  good.Put("omega", wire::PackArcs({{0, 1}, {1, 2}, {2, 0}}));
+  ActionLog log;
+  log.Add({0, 0, 1});
+  log.Add({1, 0, 2});
+  log.Add({2, 1, 3});
+  StageProviderLog(log, &good);
+  const std::vector<uint8_t> packed = good.Get("exec.log").ValueOrDie();
+  ASSERT_EQ(packed.size(), 1u + 3 * 16);
+
+  const auto run_program = [](SessionState state) {
+    StageProgramContext ctx;
+    ctx.state = &state;
+    return StageProgramRegistry::Global().Run("p4/counters", &ctx);
+  };
+  ASSERT_TRUE(run_program(good).ok());
+
+  std::vector<uint8_t> truncated(packed.begin(), packed.end() - 5);
+  std::vector<uint8_t> trailing = packed;
+  trailing.push_back(0);
+  std::vector<uint8_t> overlong = packed;
+  overlong[0] = 4;  // Four records announced, three present.
+  StageExecutor executor;
+  uint32_t session = 0;
+  for (const auto& bad : {truncated, trailing, overlong}) {
+    SessionState st = good;
+    st.Put("exec.log", bad);
+    const Status direct = run_program(st);
+    EXPECT_EQ(direct.code(), StatusCode::kSerializationError)
+        << direct.ToString();
+
+    wire::ExecRequest req;
+    req.session = "bad-log-" + std::to_string(session++);
+    req.program = "p4/counters";
+    req.party = 1;
+    req.includes_state = true;
+    req.state_blob = st.Serialize();
+    wire::ExecResponse resp = OpenResult(executor.Handle(SealRequest(req)));
+    EXPECT_EQ(resp.outcome, wire::ExecOutcome::kError);
+    EXPECT_NE(resp.message.find("p4/counters"), std::string::npos)
+        << resp.message;
+    EXPECT_NE(resp.message.find(direct.message()), std::string::npos)
+        << resp.message;
+  }
+  EXPECT_EQ(executor.stats().program_errors, 3u);
+}
+
 // ---------------------------------------------------------------------------
 // Clean remote parity: daemon-executed stages are bitwise-invisible in the
 // protocol transcript.

@@ -72,7 +72,7 @@ MUTATIONS = [
      times(0.5), f"{POW} speedup >= 2.0"),
     ("bigint", R, "BM_PaillierDecryptCrtHeap/1024_median", "cpu_time",
      times(0.5), f"{CRT} speedup >= 2.0"),
-    # The batch runs 9-16x the loop, so the cut must be deep enough to
+    # The batch runs ~7-8x the loop, so the cut must be deep enough to
     # take the ratio under the 2x floor.
     ("bigint", R, "BM_RsaDecryptLoop/512_median", "cpu_time", times(0.1),
      f"{RSA512} speedup >= 2.0"),
