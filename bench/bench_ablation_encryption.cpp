@@ -97,7 +97,7 @@ void AggregationAlternatives() {
     for (size_t k = 0; k < m; ++k) {
       players2.push_back(net2.RegisterParty("P" + std::to_string(k)));
     }
-    HomomorphicSumProtocol hom(&net2, players2, 512);
+    HomomorphicSumProtocol hom(&net2, players2, HomomorphicSumConfig{});
     auto t2 = std::chrono::steady_clock::now();
     PSI_CHECK_OK(hom.Run(inputs, rngs, "h.").status());
     double s2 = Seconds(t2);

@@ -189,46 +189,6 @@ void BM_PaillierEncryptBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_PaillierEncryptBatch)->Arg(16)->Arg(64)->Unit(benchmark::kMillisecond);
 
-void BM_PaillierEncryptPooled(benchmark::State& state) {
-  // Online phase of pool-backed encryption: the r^n powers are precomputed
-  // (offline), so each ciphertext costs two modular multiplications. This is
-  // the number the protocol hot loops see once a randomizer pool is warmed.
-  Rng rng(8);
-  auto kp = PaillierGenerateKeyPair(&rng, 512).ValueOrDie();
-  BigUInt m(123456789);
-  constexpr size_t kPool = 256;
-  auto pool =
-      PaillierRandomizerPool::Create(kp.public_key, &rng, kPool).ValueOrDie();
-  for (auto _ : state) {
-    if (pool.remaining() == 0) {
-      state.PauseTiming();
-      pool = PaillierRandomizerPool::Create(kp.public_key, &rng, kPool)
-                 .ValueOrDie();
-      state.ResumeTiming();
-    }
-    benchmark::DoNotOptimize(
-        PaillierEncryptWithPool(kp.public_key, m, &pool).ValueOrDie());
-  }
-}
-BENCHMARK(BM_PaillierEncryptPooled);
-
-void BM_PaillierRandomizerPoolCreate(benchmark::State& state) {
-  // Offline phase: sequential randomizer draws plus parallel r^n powers.
-  Rng rng(8);
-  auto kp = PaillierGenerateKeyPair(&rng, 512).ValueOrDie();
-  const auto count = static_cast<size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        PaillierRandomizerPool::Create(kp.public_key, &rng, count)
-            .ValueOrDie());
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_PaillierRandomizerPoolCreate)
-    ->Arg(16)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond);
-
 void BM_PaillierDecrypt(benchmark::State& state) {
   // The classic path: one c^lambda mod n^2 exponentiation per counter.
   Rng rng(8);
@@ -301,25 +261,6 @@ void BM_PackingRoundTrip(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PackingRoundTrip)->Arg(512);
-
-void BM_FixedBaseTablePow(benchmark::State& state) {
-  // Repeated-base exponentiation via the precomputed window table: zero
-  // squarings per call, ~bits/w multiplies. Compare with BM_ModPow, which
-  // pays bits squarings per call.
-  Rng rng(35);
-  auto bits = static_cast<size_t>(state.range(0));
-  BigUInt m = BigUInt::RandomBits(&rng, bits);
-  m.SetBit(bits - 1);
-  m.SetBit(0);
-  auto ctx = MontgomeryContext::Create(m).ValueOrDie();
-  BigUInt base = BigUInt::RandomBelow(&rng, m);
-  FixedBaseTable table(&ctx, base, bits);
-  BigUInt exp = BigUInt::RandomBits(&rng, bits);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(table.Pow(exp));
-  }
-}
-BENCHMARK(BM_FixedBaseTablePow)->Arg(512)->Arg(1024);
 
 // ------------------------------------------------------------- protocols --
 

@@ -78,7 +78,7 @@ void BM_ParallelHomomorphicSum(benchmark::State& state) {
   for (auto _ : state) {
     Rng r1(1), r2(2), r3(3);
     std::vector<Rng*> rngs{&r1, &r2, &r3};
-    HomomorphicSumProtocol proto(&net, players, 512);
+    HomomorphicSumProtocol proto(&net, players, HomomorphicSumConfig{});
     benchmark::DoNotOptimize(proto.Run(inputs, rngs, "bp.").ValueOrDie());
   }
   state.SetItemsProcessed(state.iterations() * 64);

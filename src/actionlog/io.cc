@@ -27,8 +27,10 @@ Result<ActionLog> ReadActionLogText(std::istream* in) {
       return Status::SerializationError("bad record at line " +
                                         std::to_string(line_no));
     }
-    if (user > UINT32_MAX || action > UINT32_MAX) {
-      return Status::OutOfRange("id exceeds 32 bits at line " +
+    // UINT32_MAX itself is out too: MaxUserId()/MaxActionId() report the
+    // largest id + 1 in 32 bits, which would wrap to 0.
+    if (user >= UINT32_MAX || action >= UINT32_MAX) {
+      return Status::OutOfRange("id exceeds 2^32 - 2 at line " +
                                 std::to_string(line_no));
     }
     log.Add(ActionRecord{static_cast<NodeId>(user),

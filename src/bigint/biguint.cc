@@ -221,8 +221,7 @@ BigUInt BigUInt::MulSchoolbook(const BigUInt& a, const BigUInt& b) {
   if (a.IsZero() || b.IsZero()) return out;
   out.limbs_.assign(a.limbs_.size() + b.limbs_.size(), 0);
   // The CPU-dispatched limb kernel (mulx/adcx chains where the CPU has
-  // them, __int128 schoolbook otherwise) is the shared base case for
-  // BigUInt and FixedUInt multiplies.
+  // them, __int128 schoolbook otherwise).
   limb_kernel::Mul(a.limbs_.data(), a.limbs_.size(), b.limbs_.data(),
                    b.limbs_.size(), out.limbs_.data());
   out.Normalize();

@@ -10,14 +10,6 @@
 
 namespace psi {
 
-std::vector<BigUInt> FixedMontEngineBase::PowBatch(
-    std::span<const BigUInt> bases, PSI_SECRET const BigUInt& exp) const {
-  std::vector<BigUInt> out;
-  out.reserve(bases.size());
-  for (const BigUInt& b : bases) out.push_back(Pow(b, exp));
-  return out;
-}
-
 namespace {
 
 #if PSI_LIMB_KERNEL_X86
@@ -112,23 +104,30 @@ class FixedMontEngine final : public FixedMontEngineBase {
 
   size_t limbs() const override { return L; }
 
-  void MontMulRaw(const uint64_t* a, const uint64_t* b,
-                  uint64_t* out) const override {
+  // -- raw-limb members: L-limb little-endian buffers, no allocation --------
+
+  /// out = a*b*R^-1 mod n for Montgomery-domain a, b < n. Aliasing with
+  /// either input is fine.
+  void MontMulRaw(const uint64_t* a, const uint64_t* b, uint64_t* out) const {
     limb_kernel::MontMul<L>(a, b, n_, n0_, out);
   }
 
-  void ToMontRaw(const uint64_t* a, uint64_t* out) const override {
+  /// out = a*R mod n for an ordinary residue a < n.
+  void ToMontRaw(const uint64_t* a, uint64_t* out) const {
     limb_kernel::MontMul<L>(a, r2_, n_, n0_, out);
   }
 
-  void FromMontRaw(const uint64_t* a, uint64_t* out) const override {
-    // REDC(a * 1) = a * R^-1 mod n.
+  /// out = a*R^-1 mod n: REDC(a * 1) leaves the Montgomery domain.
+  void FromMontRaw(const uint64_t* a, uint64_t* out) const {
     limb_kernel::MontMul<L>(a, one_, n_, n0_, out);
   }
 
-  void OneMontRaw(uint64_t* out) const override {
+  /// out = R mod n, the Montgomery form of 1.
+  void OneMontRaw(uint64_t* out) const {
     for (size_t i = 0; i < L; ++i) out[i] = one_mont_[i];
   }
+
+  // -- BigUInt boundary -----------------------------------------------------
 
   BigUInt Multiply(const BigUInt& a, const BigUInt& b) const override {
     uint64_t ra[L], rb[L], ro[L];
@@ -206,7 +205,10 @@ class FixedMontEngine final : public FixedMontEngineBase {
       if (ifma_ && !exp.IsZero()) return PowBatchIfma(bases, exp);
     }
 #endif
-    return FixedMontEngineBase::PowBatch(bases, exp);
+    std::vector<BigUInt> out;
+    out.reserve(bases.size());
+    for (const BigUInt& b : bases) out.push_back(Pow(b, exp));
+    return out;
   }
 
  private:

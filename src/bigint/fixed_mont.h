@@ -3,8 +3,8 @@
 // widths (the 512/1024/2048-bit key geometries Paillier/RSA use, their n^2,
 // and the CRT half-sizes), MontgomeryContext::Create attaches an engine and
 // routes Multiply/Pow/ToMontgomery/FromMontgomery through it: every inner
-// multiply becomes a compile-time-unrolled CIOS kernel over FixedUInt-style
-// stack buffers (limb_kernel.h) instead of heap-limbed BigUInt REDC.
+// multiply becomes a compile-time-unrolled CIOS kernel over raw limb arrays
+// on the stack (limb_kernel.h) instead of heap-limbed BigUInt REDC.
 //
 // The engine uses the SAME R = 2^(64 * num_limbs(n)) as the heap path — the
 // exact-width match in MakeFixedMontEngine guarantees that — so Montgomery-
@@ -37,40 +37,19 @@ namespace psi {
 /// 512/1024/2048-bit Paillier/RSA keys.
 inline constexpr size_t kFixedMontWidths[] = {4, 8, 16, 32, 64};
 
-/// Largest instantiated width; raw-limb scratch buffers size to this.
-inline constexpr size_t kMaxFixedMontLimbs = 64;
-
 /// \brief Type-erased fixed-width Montgomery engine for one odd modulus.
 ///
-/// Raw-limb entry points operate on little-endian buffers of exactly
-/// limbs() limbs (callers own the storage; kMaxFixedMontLimbs bounds it),
-/// letting hot loops (FixedBaseTable::Pow, the exponentiation ladder) stay
-/// allocation-free. BigUInt entry points convert at the boundary only.
-/// Read-only after construction: safe to share across ParallelFor workers.
+/// Every entry point takes and returns BigUInt and converts at the boundary
+/// only; inside, Pow and PowBatch run on stack limb buffers of the engine's
+/// width (FixedMontEngine<L> in fixed_mont.cc, whose raw-limb members
+/// FixedCrtPow reaches by concrete type). Read-only after construction:
+/// safe to share across ParallelFor workers.
 class FixedMontEngineBase {
  public:
   virtual ~FixedMontEngineBase() = default;
 
-  /// Width of every raw-limb buffer, == num_limbs of the modulus.
+  /// The engine's width in limbs, == num_limbs of the modulus.
   virtual size_t limbs() const = 0;
-
-  // -- raw-limb hot path (no allocation, fixed-width kernels) ---------------
-
-  /// out = a*b*R^-1 mod n for Montgomery-domain a, b < n. Aliasing with
-  /// either input is fine.
-  virtual void MontMulRaw(const uint64_t* a, const uint64_t* b,
-                          uint64_t* out) const = 0;
-
-  /// out = a*R mod n for an ordinary residue a < n.
-  virtual void ToMontRaw(const uint64_t* a, uint64_t* out) const = 0;
-
-  /// out = a*R^-1 mod n (leaves the Montgomery domain).
-  virtual void FromMontRaw(const uint64_t* a, uint64_t* out) const = 0;
-
-  /// out = R mod n, the Montgomery form of 1.
-  virtual void OneMontRaw(uint64_t* out) const = 0;
-
-  // -- BigUInt boundary -----------------------------------------------------
 
   /// Montgomery product of two domain values (< n).
   virtual BigUInt Multiply(const BigUInt& a, const BigUInt& b) const = 0;
@@ -85,11 +64,11 @@ class FixedMontEngineBase {
       const = 0;
 
   /// out[i] = bases[i]^exp mod n for every i: one shared exponent, bit-for-
-  /// bit the results of per-base Pow calls. This default is that loop; the
-  /// 4- and 8-limb engines walk up to limb_kernel::kIfmaLanes bases at once
-  /// when the IFMA kernel is active.
-  virtual std::vector<BigUInt> PowBatch(std::span<const BigUInt> bases,
-                                        PSI_SECRET const BigUInt& exp) const;
+  /// bit the results of per-base Pow calls. The 4- and 8-limb engines walk
+  /// up to limb_kernel::kIfmaLanes bases at once when the IFMA kernel is
+  /// active; every other engine loops over Pow.
+  virtual std::vector<BigUInt> PowBatch(
+      std::span<const BigUInt> bases, PSI_SECRET const BigUInt& exp) const = 0;
 };
 
 class MontgomeryContext;

@@ -1,6 +1,6 @@
 // Limb kernels: the word-level primitives under every fixed-width big-integer
-// operation (fixed_uint.h, fixed_mont.h) and under BigUInt's schoolbook
-// multiply. Two implementations of each kernel exist:
+// operation (fixed_mont.h) and under BigUInt's schoolbook multiply. Two
+// implementations of each kernel exist:
 //
 //   * a portable C++ one built on `unsigned __int128` (always compiled), and
 //   * an x86-64 BMI2/ADX variant — hand-scheduled mulx/adcx/adox rows in
@@ -82,11 +82,6 @@ inline bool X86Active() { return ActiveVariant() != Variant::kPortable; }
 void MulPortable(const uint64_t* a, size_t an, const uint64_t* b, size_t bn,
                  uint64_t* out);
 
-/// Fused CIOS Montgomery multiply: out = a*b*R^-1 mod n where R = 2^(64*L),
-/// runtime length. Preconditions: n odd, n0 = -n^-1 mod 2^64, a < n, b < n.
-void MontMulPortable(const uint64_t* a, const uint64_t* b, const uint64_t* n,
-                     uint64_t n0, uint64_t* out, size_t limbs);
-
 #if PSI_LIMB_KERNEL_X86
 // -- x86-64 BMI2/ADX kernels --------------------------------------------------
 // Only call when X86KernelsAvailable(); running them on an older CPU is an
@@ -94,8 +89,6 @@ void MontMulPortable(const uint64_t* a, const uint64_t* b, const uint64_t* n,
 
 void MulX86(const uint64_t* a, size_t an, const uint64_t* b, size_t bn,
             uint64_t* out);
-void MontMulX86(const uint64_t* a, const uint64_t* b, const uint64_t* n,
-                uint64_t n0, uint64_t* out, size_t limbs);
 
 // -- AVX-512 IFMA batch exponentiation ----------------------------------------
 // Only call when IfmaKernelsAvailable().

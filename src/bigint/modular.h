@@ -42,12 +42,14 @@ std::shared_ptr<const MontgomeryContext> CachedMontgomeryContext(
 
 /// \brief RAII guard: while an instance lives, Montgomery contexts built
 /// anywhere in the process with EngineMode::kAuto (ModPow's cache, Paillier
-/// randomizer pools, ParallelFor workers) stay heap-only instead of
+/// and RSA batches, ParallelFor workers) stay heap-only instead of
 /// attaching the fixed-width engine. Heap-only contexts are cached
 /// separately, so repeated calls still amortize setup — the measured delta
-/// is purely engine vs heap arithmetic. Benchmarks (BM_*Heap) and the
-/// differential tests use this; production code never should, and only one
-/// guard owner at a time (the flag is process-wide).
+/// is purely engine vs heap arithmetic. It is kept for two users: the
+/// BM_*Heap benches, whose medians are the gated denominators of
+/// BENCH_bigint.json, and the heap-only differential tests. Production code
+/// never should, and only one guard owner at a time (the flag is
+/// process-wide).
 class ScopedHeapOnlyModPow {
  public:
   ScopedHeapOnlyModPow();

@@ -1,6 +1,5 @@
 #include "bigint/montgomery.h"
 
-#include <algorithm>
 #include <atomic>
 #include <vector>
 
@@ -145,83 +144,6 @@ std::vector<BigUInt> MontgomeryContext::PowBatch(
   out.reserve(bases.size());
   for (const BigUInt& b : bases) out.push_back(Pow(b, exp));
   return out;
-}
-
-FixedBaseTable::FixedBaseTable(const MontgomeryContext* ctx,
-                               const BigUInt& base, size_t max_exp_bits,
-                               size_t window_bits)
-    : ctx_(ctx), base_(base % ctx->modulus()), max_exp_bits_(max_exp_bits) {
-  if (window_bits == 0) {
-    // Build cost is (2^w - 1) * ceil(bits/w) multiplies; w = 4 keeps that
-    // under ~4 * bits while quartering the per-Pow multiply count.
-    window_ = max_exp_bits_ <= 64 ? 2 : 4;
-  } else {
-    window_ = std::min<size_t>(std::max<size_t>(window_bits, 1), 8);
-  }
-  const size_t w = window_;
-  const size_t digits = (std::max<size_t>(max_exp_bits_, 1) + w - 1) / w;
-  const size_t row_entries = (size_t{1} << w) - 1;
-  if (const FixedMontEngineBase* eng = ctx_->fixed_engine()) {
-    // Engine path: identical entries, flat raw-limb storage, and the whole
-    // build runs on stack buffers through the fixed kernels.
-    const size_t limbs = eng->limbs();
-    fixed_rows_.resize(digits * row_entries * limbs);
-    uint64_t t[kMaxFixedMontLimbs];
-    uint64_t base_raw[kMaxFixedMontLimbs];
-    for (size_t i = 0; i < limbs; ++i) base_raw[i] = base_.limb(i);
-    eng->ToMontRaw(base_raw, t);
-    for (size_t i = 0; i < digits; ++i) {
-      uint64_t* row = fixed_rows_.data() + i * row_entries * limbs;
-      for (size_t j = 0; j < limbs; ++j) row[j] = t[j];
-      for (size_t d = 1; d < row_entries; ++d) {
-        eng->MontMulRaw(row + (d - 1) * limbs, t, row + d * limbs);
-      }
-      if (i + 1 < digits) {
-        eng->MontMulRaw(row + (row_entries - 1) * limbs, t, t);  // t^(2^w).
-      }
-    }
-    return;
-  }
-  table_.resize(digits);
-  // t = base^(2^(w*i)) as i advances; each row holds t^1 .. t^(2^w - 1).
-  BigUInt t = ctx_->ToMontgomery(base_);
-  for (size_t i = 0; i < digits; ++i) {
-    auto& row = table_[i];
-    row.resize(row_entries);
-    row[0] = t;
-    for (size_t d = 1; d < row.size(); ++d) {
-      row[d] = ctx_->Multiply(row[d - 1], t);
-    }
-    if (i + 1 < digits) t = ctx_->Multiply(row.back(), t);  // t^(2^w).
-  }
-}
-
-BigUInt FixedBaseTable::Pow(const BigUInt& exp) const {
-  if (exp.BitLength() > max_exp_bits_) return ctx_->Pow(base_, exp);
-  const size_t w = window_;
-  const size_t digits = (exp.BitLength() + w - 1) / w;
-  if (const FixedMontEngineBase* eng = ctx_->fixed_engine()) {
-    const size_t limbs = eng->limbs();
-    const size_t row_entries = (size_t{1} << w) - 1;
-    uint64_t result[kMaxFixedMontLimbs];
-    eng->OneMontRaw(result);
-    for (size_t i = 0; i < digits; ++i) {
-      const size_t digit = internal::ExpDigit(exp, i * w, w);
-      if (digit != 0) {
-        const uint64_t* entry =
-            fixed_rows_.data() + (i * row_entries + digit - 1) * limbs;
-        eng->MontMulRaw(result, entry, result);
-      }
-    }
-    eng->FromMontRaw(result, result);
-    return BigUInt::FromLimbs(result, limbs);
-  }
-  BigUInt result = ctx_->OneMontgomery();
-  for (size_t i = 0; i < digits; ++i) {
-    size_t digit = internal::ExpDigit(exp, i * w, w);
-    if (digit != 0) result = ctx_->Multiply(result, table_[i][digit - 1]);
-  }
-  return ctx_->FromMontgomery(result);
 }
 
 }  // namespace psi

@@ -10,8 +10,9 @@
 // geometry (fixed_mont.h), the context transparently attaches a
 // FixedMontEngine and every Multiply/Pow runs on stack-allocated
 // compile-time-unrolled limb kernels instead of heap BigUInt REDC — same R,
-// same values, only faster. EngineMode::kHeapOnly keeps the heap path for
-// baseline benchmarking and differential tests.
+// same values, only faster. EngineMode::kHeapOnly keeps the heap path as
+// the oracle the engine is tested against and the baseline it is gated
+// against.
 
 #ifndef PSI_BIGINT_MONTGOMERY_H_
 #define PSI_BIGINT_MONTGOMERY_H_
@@ -27,8 +28,12 @@
 namespace psi {
 
 /// \brief Whether MontgomeryContext::Create may attach the fixed-width
-/// engine. kHeapOnly exists for the heap-vs-fixed differential tests and
-/// the BM_*Heap baseline benches; production callers use the default.
+/// engine; production callers use the default. kHeapOnly stays in the
+/// library, not in the tests, because the BM_*Heap rows of bench_bigint
+/// (the gated denominators of BENCH_bigint.json's engine speedups) build
+/// their contexts with it, directly or through ScopedHeapOnlyModPow, and
+/// the heap-vs-fixed differential tests use it as their oracle. The heap
+/// path itself is live either way: it serves every width with no engine.
 enum class EngineMode {
   kAuto,      ///< Attach a FixedMontEngine when the width matches.
   kHeapOnly,  ///< Always use heap BigUInt REDC.
@@ -80,8 +85,8 @@ class MontgomeryContext {
   const BigUInt& OneMontgomery() const { return r_mod_n_; }
 
   /// \brief The attached fixed-width engine, or nullptr on the heap path.
-  /// Raw-limb consumers (FixedBaseTable, benches) use this to stay
-  /// allocation-free; both paths share R, so domain values interchange.
+  /// MakeFixedCrtPow reaches the engines of p and q through this; both
+  /// paths share R, so domain values interchange.
   const FixedMontEngineBase* fixed_engine() const { return engine_.get(); }
 
  private:
@@ -104,48 +109,6 @@ class MontgomeryContext {
   BigUInt r2_mod_n_;   // R^2 mod n (for ToMontgomery).
   size_t limbs_;       // k: R = 2^(64k).
   std::shared_ptr<const FixedMontEngineBase> engine_;  // May be null.
-};
-
-/// \brief Precomputed power table for one fixed base: many exponentiations
-/// of the same base cost ~bits/w multiplies each and zero squarings.
-///
-/// Stores base^(d * 2^(w*i)) for every w-bit digit value d and digit
-/// position i up to `max_exp_bits`. base^e is then the product of one table
-/// entry per nonzero digit of e. The referenced MontgomeryContext must
-/// outlive the table. Read-only after construction, so a single table can
-/// serve many ParallelFor workers concurrently.
-///
-/// With a fixed-width engine attached to the context, rows live in one flat
-/// limb array and Pow runs entirely on stack buffers — no allocation per
-/// exponentiation.
-class FixedBaseTable {
- public:
-  /// \param ctx Montgomery domain of the modulus (kept by pointer).
-  /// \param base the fixed base (reduced mod n internally).
-  /// \param max_exp_bits largest exponent bit-length Pow must serve.
-  /// \param window_bits digit width w (clamped to [1, 8]); 0 picks a
-  ///        default balancing table build cost against per-Pow savings.
-  FixedBaseTable(const MontgomeryContext* ctx, const BigUInt& base,
-                 size_t max_exp_bits, size_t window_bits = 0);
-
-  /// \brief base^exp mod n. Exponents longer than max_exp_bits fall back to
-  /// the context's generic Pow.
-  BigUInt Pow(const BigUInt& exp) const;
-
-  size_t max_exp_bits() const { return max_exp_bits_; }
-  size_t window_bits() const { return window_; }
-
- private:
-  const MontgomeryContext* ctx_;
-  BigUInt base_;         // Ordinary residue, for the fallback path.
-  size_t max_exp_bits_;
-  size_t window_;
-  // Heap path: table_[i][d-1] = base^(d << (w*i)) in Montgomery form,
-  // d in [1, 2^w).
-  std::vector<std::vector<BigUInt>> table_;
-  // Engine path: the same entries as raw limbs, row i at stride
-  // (2^w - 1) * limbs, entry d-1 at offset (d-1) * limbs within the row.
-  std::vector<uint64_t> fixed_rows_;
 };
 
 }  // namespace psi

@@ -1,8 +1,8 @@
 // Window-size policy shared by every modular-exponentiation loop (the heap
-// MontgomeryContext, the fixed-width engine, and FixedBaseTable). Keeping
-// the policy in one place guarantees the heap and fixed paths walk the same
-// digits in the same order — a precondition for the differential tests that
-// pin them against each other.
+// MontgomeryContext, the fixed-width engine and its IFMA batch walks).
+// Keeping the policy in one place guarantees the heap and fixed paths walk
+// the same digits in the same order — a precondition for the differential
+// tests that pin them against each other.
 
 #ifndef PSI_BIGINT_POW_WINDOW_H_
 #define PSI_BIGINT_POW_WINDOW_H_

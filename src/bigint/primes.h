@@ -21,7 +21,9 @@ bool IsProbablePrime(const BigUInt& n, Rng* rng, int rounds = 32);
 /// of two such primes have exactly 2*bits bits, as RSA key sizing expects).
 BigUInt RandomPrime(Rng* rng, size_t bits, int mr_rounds = 32);
 
-/// \brief Smallest probable prime >= n.
+/// \brief Smallest probable prime >= n. No protocol calls it; it is kept
+/// as public API of the original library, pinned by its own test
+/// (PrimesTest.NextPrimeBehaviour).
 BigUInt NextPrime(BigUInt n, Rng* rng, int mr_rounds = 32);
 
 }  // namespace psi

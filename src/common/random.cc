@@ -1,7 +1,6 @@
 #include "common/random.h"
 
 #include <cstring>
-#include <random>
 
 #include "common/chacha_core.h"
 
@@ -29,13 +28,6 @@ Rng::Rng(uint64_t seed) {
 }
 
 Rng::Rng(const std::array<uint32_t, 8>& key) : key_(key) {}
-
-Rng Rng::FromEntropy() {
-  std::random_device rd;
-  std::array<uint32_t, 8> key;
-  for (auto& w : key) w = rd();
-  return Rng(key);
-}
 
 Rng Rng::Fork(std::string_view label) {
   // Mix the parent key, a fresh parent draw, and the label bytes into a new

@@ -20,8 +20,7 @@ namespace psi {
 /// \brief ChaCha20-based deterministic CSPRNG.
 ///
 /// A fixed seed yields a fully reproducible stream, which the test suite and
-/// the benchmark harness rely on. Use `Rng::FromEntropy()` for a
-/// nondeterministic instance.
+/// the benchmark harness rely on.
 class Rng {
  public:
   /// Constructs a generator from a 64-bit seed (expanded into the 256-bit
@@ -31,9 +30,6 @@ class Rng {
 
   /// Constructs a generator from a full 256-bit key.
   explicit Rng(const std::array<uint32_t, 8>& key);
-
-  /// \brief Generator seeded from the OS entropy source.
-  static Rng FromEntropy();
 
   /// \brief Derives an independent generator keyed by (this stream, label).
   ///

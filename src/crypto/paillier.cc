@@ -9,9 +9,7 @@ namespace psi {
 
 namespace {
 
-// The randomizer rejection loop shared by the serial and pooled paths: the
-// draw sequence from `rng` must be identical in both, or transcripts would
-// depend on which path a protocol took.
+// The randomizer rejection loop: r uniform in [1, n) and coprime to n.
 BigUInt DrawRandomizer(const PaillierPublicKey& key, Rng* rng) {
   BigUInt r;
   do {
@@ -21,13 +19,13 @@ BigUInt DrawRandomizer(const PaillierPublicKey& key, Rng* rng) {
 }
 
 // r_i^n mod n^2 for every drawn randomizer, fanned out across the pool.
-// Pure modular arithmetic over a shared read-only Montgomery context; no
-// RNG access, so the fan-out cannot perturb any transcript.
+// Pure modular arithmetic over a shared read-only Montgomery context (the
+// calling thread's cached one, so a batch of one pays no context setup);
+// no RNG access, so the fan-out cannot perturb any transcript.
 std::vector<BigUInt> RandomizerPowers(const PaillierPublicKey& key,
                                       const std::vector<BigUInt>& rs) {
   std::vector<BigUInt> powers(rs.size());
-  auto ctx = MontgomeryContext::Create(key.n_squared);
-  if (ctx.ok()) {
+  if (auto ctx = CachedMontgomeryContext(key.n_squared)) {
     const MontgomeryContext& mont = *ctx;
     ParallelFor(rs.size(),
                 [&](size_t i) { powers[i] = mont.Pow(rs[i], key.n); });
@@ -95,39 +93,9 @@ Result<PaillierKeyPair> PaillierGenerateKeyPair(Rng* rng, size_t bits) {
 
 Result<BigUInt> PaillierEncrypt(const PaillierPublicKey& key, const BigUInt& m,
                                 Rng* rng) {
-  if (m >= key.n) return Status::InvalidArgument("Paillier plaintext >= n");
-  // g^m mod n^2 with g = n+1 simplifies to 1 + m*n (binomial expansion).
-  BigUInt g_m = (BigUInt(1) + m * key.n) % key.n_squared;
-  BigUInt r_n = ModPow(DrawRandomizer(key, rng), key.n, key.n_squared);
-  return ModMul(g_m, r_n, key.n_squared);
-}
-
-Result<PaillierRandomizerPool> PaillierRandomizerPool::Create(
-    const PaillierPublicKey& key, Rng* rng, size_t count) {
-  if (key.n.IsZero()) {
-    return Status::InvalidArgument("Paillier public key has a zero modulus");
-  }
-  std::vector<BigUInt> rs(count);
-  for (auto& r : rs) r = DrawRandomizer(key, rng);
-  PaillierRandomizerPool pool;
-  pool.powers_ = RandomizerPowers(key, rs);
-  return pool;
-}
-
-Result<BigUInt> PaillierRandomizerPool::Next() {
-  if (next_ >= powers_.size()) {
-    return Status::FailedPrecondition("Paillier randomizer pool exhausted");
-  }
-  return std::move(powers_[next_++]);
-}
-
-Result<BigUInt> PaillierEncryptWithPool(const PaillierPublicKey& key,
-                                        const BigUInt& m,
-                                        PaillierRandomizerPool* pool) {
-  if (m >= key.n) return Status::InvalidArgument("Paillier plaintext >= n");
-  BigUInt g_m = (BigUInt(1) + m * key.n) % key.n_squared;
-  PSI_ASSIGN_OR_RETURN(BigUInt r_n, pool->Next());
-  return ModMul(g_m, r_n, key.n_squared);
+  PSI_ASSIGN_OR_RETURN(std::vector<BigUInt> c,
+                       PaillierEncryptBatch(key, {m}, rng));
+  return std::move(c[0]);
 }
 
 Result<std::vector<BigUInt>> PaillierEncryptBatch(
@@ -142,6 +110,7 @@ Result<std::vector<BigUInt>> PaillierEncryptBatch(
   std::vector<BigUInt> powers = RandomizerPowers(key, rs);
   std::vector<BigUInt> out(plaintexts.size());
   ParallelFor(plaintexts.size(), [&](size_t i) {
+    // g^m mod n^2 with g = n+1 simplifies to 1 + m*n (binomial expansion).
     BigUInt g_m = (BigUInt(1) + plaintexts[i] * key.n) % key.n_squared;
     out[i] = ModMul(g_m, powers[i], key.n_squared);
   });
@@ -170,7 +139,6 @@ Result<BigUInt> PaillierDecryptCrt(const PaillierPrivateKey& key,
   if (c >= key.n_squared) {
     return Status::InvalidArgument("Paillier ciphertext >= n^2");
   }
-  if (!key.HasCrt()) return PaillierDecrypt(key, c);
   // The classic path's well-formedness check (c^lambda ≡ 1 mod n) fails
   // exactly when gcd(c, n) != 1 — for coprime c, Fermat gives c^lambda ≡ 1
   // both mod p and mod q. Test the gcd directly; it is far cheaper than an
@@ -209,85 +177,6 @@ Result<std::vector<BigUInt>> PaillierDecryptBatch(
         return Status::OK();
       }));
   return out;
-}
-
-namespace {
-
-// Private-key wire format v1. The version byte cannot collide with the
-// legacy layout, which starts with the varint limb count of n (>= 2 for any
-// valid modulus of >= 128 bits).
-constexpr uint8_t kPaillierKeyVersion = 1;
-
-// Reads a BigUInt whose leading varint byte was already consumed as `limbs`.
-[[nodiscard]] Status ReadBigUIntBody(BinaryReader* r, uint64_t limbs, BigUInt* out) {
-  std::vector<uint8_t> bytes(static_cast<size_t>(limbs) * 8);
-  for (uint64_t i = 0; i < limbs; ++i) {
-    uint64_t limb;
-    PSI_RETURN_NOT_OK(r->ReadU64(&limb));
-    for (size_t b = 0; b < 8; ++b) {
-      bytes[static_cast<size_t>(i) * 8 + b] =
-          static_cast<uint8_t>((limb >> (8 * b)) & 0xff);
-    }
-  }
-  *out = BigUInt::FromLittleEndianBytes(bytes);
-  return Status::OK();
-}
-
-}  // namespace
-
-void WritePaillierPrivateKey(BinaryWriter* w, const PaillierPrivateKey& key) {
-  w->WriteU8(kPaillierKeyVersion);
-  WriteBigUInt(w, key.n);
-  WriteBigUInt(w, key.lambda);
-  WriteBigUInt(w, key.mu);
-  w->WriteU8(key.HasCrt() ? 1 : 0);
-  if (key.HasCrt()) {
-    WriteBigUInt(w, key.p);
-    WriteBigUInt(w, key.q);
-    WriteBigUInt(w, key.hp);
-    WriteBigUInt(w, key.hq);
-    WriteBigUInt(w, key.q_inv_p);
-  }
-}
-
-Status ReadPaillierPrivateKey(BinaryReader* r, PaillierPrivateKey* out) {
-  *out = PaillierPrivateKey{};
-  uint8_t first;
-  PSI_RETURN_NOT_OK(r->ReadU8(&first));
-  if (first != kPaillierKeyVersion) {
-    // Legacy v0 layout: n, lambda, mu with no version byte. `first` is the
-    // single-byte varint limb count of n.
-    if (first < 2 || first > 127) {
-      return Status::SerializationError("unknown Paillier key version");
-    }
-    PSI_RETURN_NOT_OK(ReadBigUIntBody(r, first, &out->n));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->lambda));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->mu));
-    out->n_squared = out->n * out->n;
-    return Status::OK();  // No CRT block: decrypt via the classic path.
-  }
-  PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->n));
-  PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->lambda));
-  PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->mu));
-  out->n_squared = out->n * out->n;
-  uint8_t has_crt;
-  PSI_RETURN_NOT_OK(r->ReadU8(&has_crt));
-  if (has_crt == 1) {
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->p));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->q));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->hp));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->hq));
-    PSI_RETURN_NOT_OK(ReadBigUInt(r, &out->q_inv_p));
-    // psi-lint: allow(secret-flow) consistency check on a key the caller already owns in the clear
-    if (out->p.IsZero() || out->q.IsZero() || out->p * out->q != out->n) {
-      return Status::SerializationError("Paillier CRT block inconsistent");
-    }
-    out->p_squared = out->p * out->p;
-    out->q_squared = out->q * out->q;
-  } else if (has_crt != 0) {
-    return Status::SerializationError("bad Paillier CRT presence byte");
-  }
-  return Status::OK();
 }
 
 BigUInt PaillierAddCiphertexts(const PaillierPublicKey& key, const BigUInt& c1,

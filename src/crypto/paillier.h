@@ -25,18 +25,17 @@ struct PaillierPublicKey {
 
 /// \brief Paillier private key (lambda, mu) plus precomputed CRT parameters.
 ///
-/// The CRT block is filled by PaillierGenerateKeyPair and lets
-/// PaillierDecryptCrt exponentiate mod p^2 and q^2 (half-size moduli,
-/// half-size exponents) instead of mod n^2 — ~3-4x per decryption. Keys
-/// deserialized from the legacy wire format lack the block (HasCrt() is
-/// false) and decrypt through the classic path.
+/// Keys come only from PaillierGenerateKeyPair, which always fills the CRT
+/// block; it lets PaillierDecryptCrt exponentiate mod p^2 and q^2
+/// (half-size moduli, half-size exponents) instead of mod n^2, ~3-4x per
+/// decryption.
 struct PaillierPrivateKey {
   BigUInt n;
   BigUInt n_squared;
   PSI_SECRET BigUInt lambda;  ///< lcm(p-1, q-1)
   PSI_SECRET BigUInt mu;      ///< (L(g^lambda mod n^2))^-1 mod n
 
-  // -- CRT block (empty when unavailable) -----------------------------------
+  // -- CRT block -------------------------------------------------------------
   PSI_SECRET BigUInt p;          ///< First prime factor of n.
   PSI_SECRET BigUInt q;          ///< Second prime factor.
   PSI_SECRET BigUInt p_squared;  ///< p^2.
@@ -44,11 +43,6 @@ struct PaillierPrivateKey {
   PSI_SECRET BigUInt hp;  ///< (L_p((n+1)^(p-1) mod p^2))^-1 mod p.
   PSI_SECRET BigUInt hq;  ///< (L_q((n+1)^(q-1) mod q^2))^-1 mod q.
   PSI_SECRET BigUInt q_inv_p;  ///< q^-1 mod p, for Garner recombination.
-
-  /// Key-shape predicate, not key material: the has-CRT bit is serialized
-  /// in the clear by WritePaillierPrivateKey, so branching on it is public
-  /// metadata (PSI_SANITIZES declassifies the p-derived taint).
-  PSI_SANITIZES bool HasCrt() const { return !p.IsZero(); }
 };
 
 struct PaillierKeyPair {
@@ -59,42 +53,11 @@ struct PaillierKeyPair {
 /// \brief Generates a key pair with an `bits`-bit modulus n.
 [[nodiscard]] Result<PaillierKeyPair> PaillierGenerateKeyPair(Rng* rng, size_t bits);
 
-/// \brief Encrypts m < n: c = (1 + m*n) * r^n mod n^2 with random r.
+/// \brief Encrypts m < n: c = (1 + m*n) * r^n mod n^2 with random r. This
+/// is PaillierEncryptBatch of the one plaintext: the same randomizer draw
+/// and the same ciphertext.
 [[nodiscard]] Result<BigUInt> PaillierEncrypt(const PaillierPublicKey& key, const BigUInt& m,
                                 Rng* rng);
-
-/// \brief Pool of precomputed randomizer powers r^n mod n^2.
-///
-/// The r values are drawn from `rng` in strict sequential program order —
-/// the exact byte stream repeated PaillierEncrypt calls would consume — so
-/// a pool-backed encryption produces byte-identical ciphertexts to the
-/// serial path. Only the pure r^n modular exponentiations (the dominant
-/// cost, Table 1 ablation) fan out across the thread pool.
-class PaillierRandomizerPool {
- public:
-  /// \brief Draws `count` randomizers sequentially from `rng`, then computes
-  /// their n-th powers mod n^2 in parallel.
-  [[nodiscard]] static Result<PaillierRandomizerPool> Create(const PaillierPublicKey& key,
-                                               Rng* rng, size_t count);
-
-  /// \brief Precomputed powers not yet consumed.
-  size_t remaining() const { return powers_.size() - next_; }
-
-  /// \brief Pops the next r^n in draw order; FailedPrecondition when empty.
-  [[nodiscard]] Result<BigUInt> Next();
-
- private:
-  PaillierRandomizerPool() = default;
-  std::vector<BigUInt> powers_;
-  size_t next_ = 0;
-};
-
-/// \brief Encrypts with a randomizer power taken from `pool` instead of a
-/// fresh modular exponentiation. Byte-identical to PaillierEncrypt with the
-/// rng the pool was filled from.
-[[nodiscard]] Result<BigUInt> PaillierEncryptWithPool(const PaillierPublicKey& key,
-                                        const BigUInt& m,
-                                        PaillierRandomizerPool* pool);
 
 /// \brief Encrypts a vector of plaintexts: randomizers drawn sequentially
 /// from `rng` (same stream as count serial PaillierEncrypt calls), the r^n
@@ -105,14 +68,16 @@ class PaillierRandomizerPool {
     Rng* rng);
 
 /// \brief Decrypts: m = L(c^lambda mod n^2) * mu mod n, L(u) = (u-1)/n.
+/// No protocol decrypts this way (they use PaillierDecryptCrt). It is kept
+/// as the textbook oracle the CRT path is tested against and as the
+/// denominator of the packing gate (bench_micro's BM_PaillierDecrypt).
 [[nodiscard]] Result<BigUInt> PaillierDecrypt(const PaillierPrivateKey& key,
                                 const BigUInt& c);
 
 /// \brief CRT-accelerated decryption: exponentiates mod p^2 and q^2 with
 /// exponents p-1 and q-1, recombines via Garner — same result as
 /// PaillierDecrypt at ~3-4x the speed (half-size moduli AND half-size
-/// exponents). Falls back to PaillierDecrypt when the key lacks the CRT
-/// block. Rejects c >= n^2 and (like the classic path) ciphertexts not
+/// exponents). Rejects c >= n^2 and (like the classic path) ciphertexts not
 /// coprime to n as malformed.
 [[nodiscard]] Result<BigUInt> PaillierDecryptCrt(const PaillierPrivateKey& key,
                                    const BigUInt& c);
@@ -123,18 +88,13 @@ class PaillierRandomizerPool {
 [[nodiscard]] Result<std::vector<BigUInt>> PaillierDecryptBatch(
     const PaillierPrivateKey& key, const std::vector<BigUInt>& ciphertexts);
 
-/// \brief Serializes a private key. Writes the versioned format (v1) that
-/// carries the CRT block; ReadPaillierPrivateKey also accepts the legacy
-/// v0 layout (n, lambda, mu — no version byte, no CRT block), yielding a
-/// key with HasCrt() == false that still decrypts via the classic path.
-void WritePaillierPrivateKey(BinaryWriter* w, const PaillierPrivateKey& key);
-[[nodiscard]] Status ReadPaillierPrivateKey(BinaryReader* r, PaillierPrivateKey* out);
-
 /// \brief Homomorphic addition: Dec(AddCiphertexts(c1, c2)) = m1 + m2 mod n.
 BigUInt PaillierAddCiphertexts(const PaillierPublicKey& key, const BigUInt& c1,
                                const BigUInt& c2);
 
-/// \brief Homomorphic scalar multiply: Dec(c^k) = k * m mod n.
+/// \brief Homomorphic scalar multiply: Dec(c^k) = k * m mod n. No protocol
+/// calls it; it is kept as public API of the original library, pinned by
+/// its own test (PaillierTest.ScalarMultiplication).
 BigUInt PaillierMultiplyPlain(const PaillierPublicKey& key, const BigUInt& c,
                               const BigUInt& k);
 

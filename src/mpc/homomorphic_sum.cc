@@ -54,13 +54,6 @@ HomomorphicSumProtocol::HomomorphicSumProtocol(Network* network,
       players_(std::move(players)),
       config_(std::move(config)) {}
 
-HomomorphicSumProtocol::HomomorphicSumProtocol(Network* network,
-                                               std::vector<PartyId> players,
-                                               size_t paillier_bits)
-    : HomomorphicSumProtocol(network, std::move(players),
-                             HomomorphicSumConfig{paillier_bits, std::nullopt,
-                                                  40}) {}
-
 Status HomomorphicSumProtocol::ValidateInputs(
     const std::vector<std::vector<uint64_t>>& inputs,
     const std::vector<Rng*>& player_rngs) const {

@@ -74,10 +74,6 @@ class HomomorphicSumProtocol {
   HomomorphicSumProtocol(Network* network, std::vector<PartyId> players,
                          HomomorphicSumConfig config);
 
-  /// \brief Legacy signature: unpacked aggregation at `paillier_bits`.
-  HomomorphicSumProtocol(Network* network, std::vector<PartyId> players,
-                         size_t paillier_bits);
-
   /// \brief Runs the batched aggregation; three communication rounds.
   /// Packed when config.counter_bound is set, every input obeys it, and a
   /// slot fits; silently unpacked otherwise (check last_run_packed()).

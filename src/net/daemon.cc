@@ -402,16 +402,4 @@ void PsidDaemon::Drain(uint64_t grace_ms) {
   conns_.clear();
 }
 
-std::vector<std::string> PsidDaemon::active_sessions() const {
-  std::vector<std::string> sessions;
-  for (const Conn& conn : conns_) {
-    if (!conn.admitted) continue;
-    if (std::find(sessions.begin(), sessions.end(), conn.session) ==
-        sessions.end()) {
-      sessions.push_back(conn.session);
-    }
-  }
-  return sessions;
-}
-
 }  // namespace psi

@@ -139,9 +139,6 @@ class PsidDaemon {
   /// \brief Number of currently-open client connections.
   size_t num_connections() const { return conns_.size(); }
 
-  /// \brief Session names with at least one admitted connection.
-  std::vector<std::string> active_sessions() const;
-
   const PsidStats& stats() const { return stats_; }
 
  private:

@@ -59,6 +59,14 @@ TEST(ActionLogIoTest, RejectsMalformedInput) {
     std::stringstream ss("5000000000 1 2\n");  // User id > 32 bits.
     EXPECT_FALSE(ReadActionLogText(&ss).ok());
   }
+  // Id 2^32 - 1 fits 32 bits, but MaxActionId()/MaxUserId() (id + 1)
+  // would wrap to 0.
+  for (const char* record : {"1 4294967295 5\n", "4294967295 1 5\n"}) {
+    std::stringstream ss(record);
+    auto loaded = ReadActionLogText(&ss);
+    ASSERT_FALSE(loaded.ok()) << record;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kOutOfRange) << record;
+  }
 }
 
 TEST(ActionLogIoTest, FileRoundTrip) {

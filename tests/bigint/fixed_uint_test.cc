@@ -1,18 +1,19 @@
 // Differential tests for the fixed-width big-integer engine: every
-// FixedUInt / limb-kernel / FixedMontEngine operation is checked limb for
+// fixed-width limb kernel and FixedMontEngine operation is checked limb for
 // limb against the heap BigUInt path across all instantiated widths
 // (4/8/16/32/64 limbs), on random operands and on the edge operands the
 // kernels are most likely to get wrong (0, 1, modulus-1, values straddling
 // R). A separate case pins the portable and x86 kernel variants to
-// identical limbs, so runtime dispatch can never change a transcript.
-
-#include "bigint/fixed_uint.h"
+// identical limbs, so runtime dispatch can never change a transcript. The
+// kernels work on raw little-endian limb arrays; the suite keeps the name
+// of the fixed-width integer type it was first written for.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <vector>
 
+#include "bigint/biguint.h"
 #include "bigint/fixed_mont.h"
 #include "bigint/limb_kernel.h"
 #include "bigint/modular.h"
@@ -43,51 +44,66 @@ BigUInt RandomModulus(Rng* rng, size_t limbs) {
   return m;
 }
 
+// Loads v into an L-limb array (high limbs zero), as the engine's boundary
+// does. Precondition: v.num_limbs() <= L.
+template <size_t L>
+void ToLimbs(const BigUInt& v, uint64_t* out) {
+  for (size_t i = 0; i < L; ++i) out[i] = v.limb(i);
+}
+
+template <size_t L>
+BigUInt FromLimbs(const uint64_t* limbs) {
+  return BigUInt::FromLimbs(limbs, L);
+}
+
 template <size_t L>
 void CheckAddSubMul(Rng* rng) {
   const BigUInt truncator = BigUInt(1) << (L * 64);
   for (int trial = 0; trial < 50; ++trial) {
     BigUInt a = BigUInt::RandomBits(rng, L * 64);
     BigUInt b = BigUInt::RandomBits(rng, L * 64);
-    const auto fa = FixedUInt<L>::FromBigUInt(a);
-    const auto fb = FixedUInt<L>::FromBigUInt(b);
+    uint64_t fa[L], fb[L];
+    ToLimbs<L>(a, fa);
+    ToLimbs<L>(b, fb);
 
-    FixedUInt<L> sum;
-    const uint64_t carry = FixedUInt<L>::Add(fa, fb, &sum);
+    uint64_t sum[L];
+    const uint64_t carry = limb_kernel::AddFixed<L>(fa, fb, sum);
     const BigUInt want_sum = a + b;
-    EXPECT_EQ(sum.ToBigUInt(), want_sum % truncator) << "width " << L;
+    EXPECT_EQ(FromLimbs<L>(sum), want_sum % truncator) << "width " << L;
     EXPECT_EQ(carry, want_sum >= truncator ? 1u : 0u) << "width " << L;
 
-    FixedUInt<L> diff;
-    const uint64_t borrow = FixedUInt<L>::Sub(fa, fb, &diff);
+    uint64_t diff[L];
+    const uint64_t borrow = limb_kernel::SubFixed<L>(fa, fb, diff);
     if (a >= b) {
-      EXPECT_EQ(diff.ToBigUInt(), a - b) << "width " << L;
+      EXPECT_EQ(FromLimbs<L>(diff), a - b) << "width " << L;
       EXPECT_EQ(borrow, 0u) << "width " << L;
     } else {
-      EXPECT_EQ(diff.ToBigUInt(), truncator - (b - a)) << "width " << L;
+      EXPECT_EQ(FromLimbs<L>(diff), truncator - (b - a)) << "width " << L;
       EXPECT_EQ(borrow, 1u) << "width " << L;
     }
 
-    FixedUInt<2 * L> prod;
-    FixedUInt<L>::MulFull(fa, fb, &prod);
-    EXPECT_EQ(prod.ToBigUInt(), a * b) << "width " << L;
+    uint64_t prod[2 * L];
+    limb_kernel::MulFixed<L>(fa, fb, prod);
+    EXPECT_EQ(FromLimbs<2 * L>(prod), a * b) << "width " << L;
 
-    EXPECT_EQ(FixedUInt<L>::Compare(fa, fb), a < b ? -1 : (a == b ? 0 : 1));
+    EXPECT_EQ(limb_kernel::CompareFixed<L>(fa, fb),
+              a < b ? -1 : (a == b ? 0 : 1));
+    EXPECT_EQ(limb_kernel::CompareFixed<L>(fa, fa), 0);
   }
   // Edge operands: zero and all-ones.
-  const auto zero = FixedUInt<L>();
-  auto ones = FixedUInt<L>::FromBigUInt(truncator - BigUInt(1));
-  FixedUInt<L> out;
-  EXPECT_EQ(FixedUInt<L>::Add(ones, ones, &out), 1u);
-  EXPECT_EQ(out.ToBigUInt(), truncator - BigUInt(2));
-  EXPECT_EQ(FixedUInt<L>::Sub(zero, ones, &out), 1u);
-  EXPECT_EQ(out.ToBigUInt(), BigUInt(1));
-  FixedUInt<2 * L> sq;
-  FixedUInt<L>::MulFull(ones, ones, &sq);
+  const uint64_t zero[L] = {};
+  uint64_t ones[L];
+  ToLimbs<L>(truncator - BigUInt(1), ones);
+  uint64_t out[L];
+  EXPECT_EQ(limb_kernel::AddFixed<L>(ones, ones, out), 1u);
+  EXPECT_EQ(FromLimbs<L>(out), truncator - BigUInt(2));
+  EXPECT_EQ(limb_kernel::SubFixed<L>(zero, ones, out), 1u);
+  EXPECT_EQ(FromLimbs<L>(out), BigUInt(1));
+  uint64_t sq[2 * L];
+  limb_kernel::MulFixed<L>(ones, ones, sq);
   const BigUInt max = truncator - BigUInt(1);
-  EXPECT_EQ(sq.ToBigUInt(), max * max);
-  EXPECT_TRUE(zero.IsZero());
-  EXPECT_FALSE(ones.IsZero());
+  EXPECT_EQ(FromLimbs<2 * L>(sq), max * max);
+  EXPECT_EQ(limb_kernel::CompareFixed<L>(zero, ones), -1);
 }
 
 TEST(FixedUIntTest, AddSubMulMatchBigUIntAllWidths) {
@@ -100,15 +116,21 @@ TEST(FixedUIntTest, AddSubMulMatchBigUIntAllWidths) {
 }
 
 TEST(FixedUIntTest, RoundTripAndFits) {
+  // The engine's boundary: a BigUInt that fits L limbs survives the trip
+  // into an L-limb array and back, zero-padded when it is shorter.
   Rng rng(72);
   for (int trial = 0; trial < 20; ++trial) {
     BigUInt v = BigUInt::RandomBits(&rng, 8 * 64);
-    ASSERT_TRUE(FixedUInt<8>::Fits(v));
-    EXPECT_EQ(FixedUInt<8>::FromBigUInt(v).ToBigUInt(), v);
-    EXPECT_TRUE(FixedUInt<16>::Fits(v));
+    ASSERT_LE(v.num_limbs(), 8u);
+    uint64_t limbs8[8], limbs16[16];
+    ToLimbs<8>(v, limbs8);
+    EXPECT_EQ(FromLimbs<8>(limbs8), v);
+    ToLimbs<16>(v, limbs16);
+    EXPECT_EQ(FromLimbs<16>(limbs16), v);
+    for (size_t i = 8; i < 16; ++i) EXPECT_EQ(limbs16[i], 0u);
   }
   const BigUInt wide = BigUInt(1) << (9 * 64);
-  EXPECT_FALSE(FixedUInt<8>::Fits(wide));
+  EXPECT_GT(wide.num_limbs(), 8u);
 }
 
 // The operand set MontMul differentials sweep: random residues plus the
@@ -185,23 +207,24 @@ void CheckKernelVariantsAgree(Rng* rng) {
   if (!limb_kernel::X86KernelsAvailable()) GTEST_SKIP();
   const BigUInt n = RandomModulus(rng, L);
   const uint64_t n0 = NPrime(n);
-  const auto fn = FixedUInt<L>::FromBigUInt(n);
+  uint64_t fn[L];
+  ToLimbs<L>(n, fn);
   for (int trial = 0; trial < 30; ++trial) {
     BigUInt a = BigUInt::RandomBelow(rng, n);
     BigUInt b = trial == 0 ? n - BigUInt(1) : BigUInt::RandomBelow(rng, n);
-    const auto fa = FixedUInt<L>::FromBigUInt(a);
-    const auto fb = FixedUInt<L>::FromBigUInt(b);
+    uint64_t fa[L], fb[L];
+    ToLimbs<L>(a, fa);
+    ToLimbs<L>(b, fb);
     uint64_t portable[L], x86[L];
-    limb_kernel::MontMulFixedPortable<L>(fa.data(), fb.data(), fn.data(), n0,
-                                         portable);
-    limb_kernel::MontMulFixedX86<L>(fa.data(), fb.data(), fn.data(), n0, x86);
+    limb_kernel::MontMulFixedPortable<L>(fa, fb, fn, n0, portable);
+    limb_kernel::MontMulFixedX86<L>(fa, fb, fn, n0, x86);
     ASSERT_EQ(std::memcmp(portable, x86, sizeof(portable)), 0)
         << "width " << L << " trial " << trial;
 
     uint64_t mul_p[2 * L] = {};
     uint64_t mul_x[2 * L] = {};
-    limb_kernel::MulPortable(fa.data(), L, fb.data(), L, mul_p);
-    limb_kernel::MulX86(fa.data(), L, fb.data(), L, mul_x);
+    limb_kernel::MulPortable(fa, L, fb, L, mul_p);
+    limb_kernel::MulX86(fa, L, fb, L, mul_x);
     ASSERT_EQ(std::memcmp(mul_p, mul_x, sizeof(mul_p)), 0) << "width " << L;
   }
 #else

@@ -138,53 +138,6 @@ TEST(MontgomeryTest, WindowedPowExponentStructureEdges) {
   }
 }
 
-TEST(MontgomeryTest, FixedBaseTableMatchesGenericPow) {
-  Rng rng(8);
-  for (size_t bits : {512u, 1024u, 2048u}) {
-    BigUInt m = BigUInt::RandomBits(&rng, bits);
-    m.SetBit(0);
-    m.SetBit(bits - 1);
-    auto ctx = MontgomeryContext::Create(m).ValueOrDie();
-    BigUInt base = BigUInt::RandomBelow(&rng, m);
-    FixedBaseTable table(&ctx, base, bits);
-    for (int trial = 0; trial < 5; ++trial) {
-      BigUInt exp = BigUInt::RandomBits(&rng, bits);
-      ASSERT_EQ(table.Pow(exp), ctx.Pow(base, exp))
-          << "bits " << bits << " trial " << trial;
-    }
-    // Degenerate exponents.
-    EXPECT_EQ(table.Pow(BigUInt(0)), BigUInt(1));
-    EXPECT_EQ(table.Pow(BigUInt(1)), base % m);
-  }
-}
-
-TEST(MontgomeryTest, FixedBaseTableFallsBackOnOversizeExponent) {
-  Rng rng(9);
-  BigUInt m = BigUInt::RandomBits(&rng, 512);
-  m.SetBit(0);
-  m.SetBit(511);
-  auto ctx = MontgomeryContext::Create(m).ValueOrDie();
-  BigUInt base = BigUInt::RandomBelow(&rng, m);
-  FixedBaseTable table(&ctx, base, /*max_exp_bits=*/128);
-  // An exponent wider than the table still computes correctly (generic
-  // path), and an in-range exponent uses the table.
-  BigUInt big_exp = BigUInt::RandomBits(&rng, 512);
-  EXPECT_EQ(table.Pow(big_exp), ctx.Pow(base, big_exp));
-  BigUInt small_exp = BigUInt::RandomBits(&rng, 128);
-  EXPECT_EQ(table.Pow(small_exp), ctx.Pow(base, small_exp));
-}
-
-TEST(MontgomeryTest, FixedBaseTableSmallExponentWindow) {
-  // max_exp_bits <= 64 selects the narrow window; exhaustively check small
-  // exponents against direct computation.
-  auto ctx = MontgomeryContext::Create(BigUInt(1000003)).ValueOrDie();
-  BigUInt base(12345);
-  FixedBaseTable table(&ctx, base, /*max_exp_bits=*/16);
-  for (uint64_t e = 0; e < 300; ++e) {
-    ASSERT_EQ(table.Pow(BigUInt(e)), ctx.Pow(base, BigUInt(e))) << "e " << e;
-  }
-}
-
 TEST(MontgomeryTest, FermatWithRealPrime) {
   Rng rng(5);
   BigUInt p = RandomPrime(&rng, 512);

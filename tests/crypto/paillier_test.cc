@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <vector>
+
 #include "bigint/modular.h"
-#include "common/serialize.h"
 
 namespace psi {
 namespace {
@@ -110,6 +112,37 @@ TEST_F(PaillierTest, RejectsOversizedOperands) {
           .ok());
 }
 
+TEST_F(PaillierTest, EncryptIsBatchOfOne) {
+  // PaillierEncrypt is PaillierEncryptBatch of one plaintext: equal seeds
+  // give the same randomizer draws and byte-identical ciphertexts, on the
+  // fixed-limb engine and on the heap path alike.
+  const PaillierPublicKey& pub = key_pair_->public_key;
+  const std::vector<BigUInt> plain = {BigUInt(), BigUInt(42),
+                                      pub.n - BigUInt(1)};
+  for (bool heap_only : {false, true}) {
+    std::optional<ScopedHeapOnlyModPow> guard;
+    if (heap_only) guard.emplace();
+    Rng single_rng(303), batch_rng(303);
+    std::vector<BigUInt> singles;
+    for (const BigUInt& m : plain) {
+      singles.push_back(PaillierEncrypt(pub, m, &single_rng).ValueOrDie());
+    }
+    const std::vector<BigUInt> batch =
+        PaillierEncryptBatch(pub, plain, &batch_rng).ValueOrDie();
+    ASSERT_EQ(batch.size(), singles.size());
+    for (size_t i = 0; i < plain.size(); ++i) {
+      EXPECT_EQ(singles[i].ToLittleEndianBytes(),
+                batch[i].ToLittleEndianBytes())
+          << "heap_only " << heap_only << " i " << i;
+      EXPECT_EQ(PaillierDecryptCrt(key_pair_->private_key, singles[i])
+                    .ValueOrDie(),
+                plain[i]);
+    }
+    // Both generators consumed the same stream.
+    EXPECT_EQ(single_rng.NextU64(), batch_rng.NextU64());
+  }
+}
+
 TEST_F(PaillierTest, GenerateRejectsBadSizes) {
   Rng rng(7);
   EXPECT_FALSE(PaillierGenerateKeyPair(&rng, 100).ok());
@@ -120,7 +153,6 @@ TEST_F(PaillierTest, GenerateRejectsBadSizes) {
 
 TEST_F(PaillierTest, KeygenFillsCrtBlock) {
   const auto& sk = key_pair_->private_key;
-  ASSERT_TRUE(sk.HasCrt());
   EXPECT_EQ(sk.p * sk.q, sk.n);
   EXPECT_EQ(sk.p_squared, sk.p * sk.p);
   EXPECT_EQ(sk.q_squared, sk.q * sk.q);
@@ -163,15 +195,6 @@ TEST_F(PaillierTest, CrtRejectsNonCoprimeCiphertext) {
   EXPECT_FALSE(PaillierDecrypt(key_pair_->private_key, p).ok());
 }
 
-TEST_F(PaillierTest, CrtFallsBackWithoutCrtBlock) {
-  PaillierPrivateKey stripped = key_pair_->private_key;
-  stripped.p = BigUInt();
-  ASSERT_FALSE(stripped.HasCrt());
-  BigUInt m(987654321);
-  BigUInt c = PaillierEncrypt(key_pair_->public_key, m, rng_).ValueOrDie();
-  EXPECT_EQ(PaillierDecryptCrt(stripped, c).ValueOrDie(), m);
-}
-
 TEST_F(PaillierTest, DecryptBatchMatchesSerial) {
   std::vector<BigUInt> cts;
   std::vector<BigUInt> expected;
@@ -191,59 +214,6 @@ TEST_F(PaillierTest, DecryptBatchSurfacesMalformedCiphertext) {
       PaillierEncrypt(key_pair_->public_key, BigUInt(1), rng_).ValueOrDie(),
       key_pair_->public_key.n_squared + BigUInt(1)};
   EXPECT_FALSE(PaillierDecryptBatch(key_pair_->private_key, cts).ok());
-}
-
-// --------------------------------------------------- key serialization --
-
-TEST_F(PaillierTest, PrivateKeySerializationRoundTrip) {
-  BinaryWriter w;
-  WritePaillierPrivateKey(&w, key_pair_->private_key);
-  BinaryReader r(w.buffer());
-  PaillierPrivateKey back;
-  ASSERT_TRUE(ReadPaillierPrivateKey(&r, &back).ok());
-  EXPECT_TRUE(r.AtEnd());
-  ASSERT_TRUE(back.HasCrt());
-  EXPECT_EQ(back.n, key_pair_->private_key.n);
-  EXPECT_EQ(back.lambda, key_pair_->private_key.lambda);
-  EXPECT_EQ(back.mu, key_pair_->private_key.mu);
-  EXPECT_EQ(back.p, key_pair_->private_key.p);
-  EXPECT_EQ(back.q, key_pair_->private_key.q);
-  EXPECT_EQ(back.hp, key_pair_->private_key.hp);
-  EXPECT_EQ(back.hq, key_pair_->private_key.hq);
-  EXPECT_EQ(back.q_inv_p, key_pair_->private_key.q_inv_p);
-  BigUInt m(31337);
-  BigUInt c = PaillierEncrypt(key_pair_->public_key, m, rng_).ValueOrDie();
-  EXPECT_EQ(PaillierDecryptCrt(back, c).ValueOrDie(), m);
-}
-
-TEST_F(PaillierTest, ReadsLegacyPrivateKeyFormat) {
-  // The pre-CRT wire layout: n, lambda, mu with no version byte. A valid
-  // modulus starts with a limb-count varint >= 2, which is how the reader
-  // tells the two formats apart.
-  BinaryWriter w;
-  WriteBigUInt(&w, key_pair_->private_key.n);
-  WriteBigUInt(&w, key_pair_->private_key.lambda);
-  WriteBigUInt(&w, key_pair_->private_key.mu);
-  BinaryReader r(w.buffer());
-  PaillierPrivateKey back;
-  ASSERT_TRUE(ReadPaillierPrivateKey(&r, &back).ok());
-  EXPECT_TRUE(r.AtEnd());
-  EXPECT_FALSE(back.HasCrt());
-  EXPECT_EQ(back.n, key_pair_->private_key.n);
-  // Classic decryption still works (CRT transparently falls back).
-  BigUInt m(271828);
-  BigUInt c = PaillierEncrypt(key_pair_->public_key, m, rng_).ValueOrDie();
-  EXPECT_EQ(PaillierDecryptCrt(back, c).ValueOrDie(), m);
-}
-
-TEST_F(PaillierTest, SerializationRejectsInconsistentCrtBlock) {
-  PaillierPrivateKey tampered = key_pair_->private_key;
-  tampered.p += BigUInt(2);  // p * q no longer equals n.
-  BinaryWriter w;
-  WritePaillierPrivateKey(&w, tampered);
-  BinaryReader r(w.buffer());
-  PaillierPrivateKey back;
-  EXPECT_FALSE(ReadPaillierPrivateKey(&r, &back).ok());
 }
 
 }  // namespace

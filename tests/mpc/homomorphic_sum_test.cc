@@ -29,7 +29,7 @@ struct HomFixture {
 TEST(HomomorphicSumTest, SharesReconstructModN) {
   for (size_t m : {2u, 3u, 5u}) {
     HomFixture f(m);
-    HomomorphicSumProtocol proto(&f.net, f.players, 512);
+    HomomorphicSumProtocol proto(&f.net, f.players, HomomorphicSumConfig{});
     std::vector<std::vector<uint64_t>> inputs(m,
                                               std::vector<uint64_t>(10));
     std::vector<uint64_t> expected(10, 0);
@@ -54,7 +54,7 @@ TEST(HomomorphicSumTest, FewerMessagesThanBenaloh) {
   // The extension's selling point: 2m - 2 messages vs m(m-1) + (m-2).
   const size_t m = 6;
   HomFixture f(m);
-  HomomorphicSumProtocol proto(&f.net, f.players, 512);
+  HomomorphicSumProtocol proto(&f.net, f.players, HomomorphicSumConfig{});
   std::vector<std::vector<uint64_t>> inputs(m, std::vector<uint64_t>{1});
   ASSERT_TRUE(proto.Run(inputs, f.RngPtrs(), "h.").ok());
   auto report = f.net.Report();
@@ -65,7 +65,7 @@ TEST(HomomorphicSumTest, FewerMessagesThanBenaloh) {
 
 TEST(HomomorphicSumTest, ZeroInputs) {
   HomFixture f(3);
-  HomomorphicSumProtocol proto(&f.net, f.players, 512);
+  HomomorphicSumProtocol proto(&f.net, f.players, HomomorphicSumConfig{});
   std::vector<std::vector<uint64_t>> inputs(3, std::vector<uint64_t>{0, 0});
   auto shares = proto.Run(inputs, f.RngPtrs(), "h.").ValueOrDie();
   const BigUInt& n = proto.modulus();
@@ -75,7 +75,7 @@ TEST(HomomorphicSumTest, ZeroInputs) {
 TEST(HomomorphicSumTest, MaskMakesP1ShareNonTrivial) {
   // s1 must not equal the plain sum (P2's mask hides it).
   HomFixture f(2);
-  HomomorphicSumProtocol proto(&f.net, f.players, 512);
+  HomomorphicSumProtocol proto(&f.net, f.players, HomomorphicSumConfig{});
   std::vector<std::vector<uint64_t>> inputs{{5}, {7}};
   auto shares = proto.Run(inputs, f.RngPtrs(), "h.").ValueOrDie();
   // With overwhelming probability the random mask is not 0 or tiny.
@@ -85,7 +85,7 @@ TEST(HomomorphicSumTest, MaskMakesP1ShareNonTrivial) {
 
 TEST(HomomorphicSumTest, InputValidation) {
   HomFixture f(3);
-  HomomorphicSumProtocol proto(&f.net, f.players, 512);
+  HomomorphicSumProtocol proto(&f.net, f.players, HomomorphicSumConfig{});
   std::vector<std::vector<uint64_t>> ragged{{1}, {2, 3}, {4}};
   EXPECT_FALSE(proto.Run(ragged, f.RngPtrs(), "h.").ok());
   std::vector<std::vector<uint64_t>> wrong_count{{1}, {2}};
@@ -139,7 +139,8 @@ TEST(HomomorphicSumTest, PackedMatchesUnpackedSums) {
   auto ps = packed.Run(inputs, fp.RngPtrs(), "h.").ValueOrDie();
   ASSERT_TRUE(packed.last_run_packed());
   HomFixture fu(m);
-  HomomorphicSumProtocol unpacked(&fu.net, fu.players, 512);
+  HomomorphicSumProtocol unpacked(&fu.net, fu.players,
+                                  HomomorphicSumConfig{});
   auto us = unpacked.Run(inputs, fu.RngPtrs(), "h.").ValueOrDie();
   ASSERT_FALSE(unpacked.last_run_packed());
   for (size_t c = 0; c < inputs[0].size(); ++c) {
@@ -161,7 +162,8 @@ TEST(HomomorphicSumTest, PackedShrinksTraffic) {
   ASSERT_TRUE(packed.Run(inputs, fp.RngPtrs(), "h.").ok());
   ASSERT_TRUE(packed.last_run_packed());
   HomFixture fu(m);
-  HomomorphicSumProtocol unpacked(&fu.net, fu.players, 512);
+  HomomorphicSumProtocol unpacked(&fu.net, fu.players,
+                                  HomomorphicSumConfig{});
   ASSERT_TRUE(unpacked.Run(inputs, fu.RngPtrs(), "h.").ok());
   // Same round/message structure, several-fold fewer ciphertext bytes.
   EXPECT_EQ(fp.net.Report().num_messages, fu.net.Report().num_messages);
@@ -205,7 +207,8 @@ TEST(HomomorphicSumTest, IntegerSharesRequireProvableBound) {
   HomFixture f(3);
   std::vector<std::vector<uint64_t>> inputs{{5}, {7}, {11}};
   // No bound configured: packed-only RunInteger must refuse.
-  HomomorphicSumProtocol unbounded(&f.net, f.players, 512);
+  HomomorphicSumProtocol unbounded(&f.net, f.players,
+                                   HomomorphicSumConfig{});
   auto no_bound = unbounded.RunInteger(inputs, f.RngPtrs(), "h.");
   ASSERT_FALSE(no_bound.ok());
   EXPECT_EQ(no_bound.status().code(), StatusCode::kFailedPrecondition);
